@@ -4,7 +4,8 @@ Every subcommand is seeded and reproducible: the same flags (including
 --seed and --workers) produce byte-identical output, and each output embeds
 the configuration that made it.
 
-Exit codes: 0 success, 2 usage error, 3 size-guard refusal, 4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 size-guard refusal or path-count
+overflow, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -251,6 +252,8 @@ def cmd_evolve(args):
 
 
 def cmd_sample_dump(args):
+    if args.count < 1:
+        raise UsageError("--count must be positive")
     g = _load_graph(args)
     spec = _sampler_spec(args)
     rng = random.Random(args.seed)

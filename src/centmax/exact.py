@@ -1,36 +1,34 @@
 """Exact centrality oracles and exhaustive greedy/brute-force baselines.
 
 All pair sums use the ordered-pair convention and count only internal path
-nodes; path counts are exact Python integers, and per-pair ratio sums go
-through math.fsum so results do not depend on accumulation order.
+nodes.  set_bwc and brute_force_max use exact Python-integer path counts and
+sum per-pair ratios with math.fsum, so results do not depend on
+accumulation order.  brandes and adaptive_bwc_all sweep blocks of sources
+with numpy and float64 path counts.
 """
 from __future__ import annotations
 
 import math
 from itertools import combinations
 
+import numpy as np
+
 from .errors import SizeError
-from .graph import INF, all_triangles, bfs_dag, bfs_dist_sigma
+from .graph import INF, all_triangles, bfs_dag
 
 _BRUTE_FORCE_GUARD = 10 ** 7
 
+# adaptive_bwc_all sweeps _BLOCK_CELLS // n sources at once, so a block's
+# (source, node) arrays hold about this many cells.  Larger blocks save
+# little time on small-world graphs and raise peak memory.
+_BLOCK_CELLS = 2 ** 13
+
 
 def brandes(g):
-    """Exact per-node betweenness (ordered pairs) via per-source dependency
-    accumulation."""
-    scores = [0.0] * g.n
-    for s in range(g.n):
-        dag = bfs_dag(g, s)
-        delta = [0.0] * g.n
-        for w in reversed(dag.order):
-            coeff = (1.0 + delta[w]) / dag.sigma[w]
-            for v in dag.preds[w]:
-                delta[v] += dag.sigma[v] * coeff
-            if w != s:
-                scores[w] += delta[w]
-    # Summing over every source without halving gives the ordered-pair
-    # convention for both directed and undirected graphs.
-    return scores
+    """Exact per-node betweenness (ordered pairs): the marginal gains over
+    the empty set.  Summing over every source without halving gives the
+    ordered-pair convention for both directed and undirected graphs."""
+    return adaptive_bwc_all(g, ())
 
 
 def _avoidance_counts(g, dag, blocked):
@@ -84,28 +82,87 @@ def adaptive_bwc_all(g, nodes):
 
     For each source, tau counts paths avoiding the set; the backward pass
     accumulates, for each candidate u, the fraction of pairs whose avoiding
-    paths route through u.
+    paths route through u.  Sources go through the sweep in blocks of
+    _BLOCK_CELLS // n, as flat (source, node) cells; path counts are
+    float64, and a count that overflows raises SizeError.
     """
-    blocked = set(nodes)
-    marg = [0.0] * g.n
-    for s in range(g.n):
-        dag = bfs_dag(g, s)
-        tau = _avoidance_counts(g, dag, blocked)
-        # delta[v] = sum over targets t beyond v of (avoiding continuations
-        # from v to t) / sigma(t); endpoints are exempt from the block.
-        delta = [0.0] * g.n
-        for w in reversed(dag.order):
-            if w == s:
-                continue
-            contrib = 1.0 / dag.sigma[w]
-            if w not in blocked:
-                contrib += delta[w]
-            for v in dag.preds[w]:
-                delta[v] += contrib
-        for u in range(g.n):
-            if u != s and u not in blocked and tau[u]:
-                marg[u] += tau[u] * delta[u]
-    return marg
+    n = g.n
+    unblocked = np.ones(n)
+    for v in set(nodes):
+        if not 0 <= v < n:
+            raise ValueError(f"node {v} out of range")
+        unblocked[v] = 0.0
+    marg = np.zeros(n)
+    block = max(1, _BLOCK_CELLS // max(n, 1))
+    # A path count that overflows to inf raises SizeError in _sweep_block.
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, block):
+            marg += _sweep_block(g, np.arange(lo, min(lo + block, n)),
+                                 unblocked)
+    return (marg * unblocked).tolist()
+
+
+def _sweep_block(g, sources, unblocked):
+    """Sum over `sources` of tau(u) * delta(u) per node u, where tau counts
+    the source-to-u shortest paths whose internal nodes are unblocked and
+    delta(u) sums, over targets t beyond u, the unblocked continuations
+    from u to t divided by sigma(t).  Endpoints are exempt from the block.
+
+    Cells are (source, node) pairs numbered i * n + node.
+    """
+    indptr, indices = g.csr()
+    n = g.n
+    size = len(sources) * n
+    origin = np.arange(len(sources)) * n + sources
+    dist = np.full(size, -1, dtype=np.int32)
+    dist[origin] = 0
+    sigma = np.zeros(size)
+    sigma[origin] = 1.0
+    # Pass 1: level-synchronous BFS of every source at once; levels[i]
+    # holds the DAG arcs (parent cells, child cells) into distance i + 1.
+    levels = []
+    frontier = origin
+    while True:
+        nodes = frontier % n
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        first = np.cumsum(counts) - counts
+        nbr = indices[np.arange(int(counts.sum()))
+                      + np.repeat(starts - first, counts)]
+        parent = np.repeat(frontier, counts)
+        child = np.repeat(frontier - nodes, counts) + nbr
+        fresh = dist[child] < 0
+        parent, child = parent[fresh], child[fresh]
+        if not child.size:
+            break
+        dist[child] = len(levels) + 1
+        np.add.at(sigma, child, sigma[parent])
+        levels.append((parent, child))
+        frontier = np.flatnonzero(dist == len(levels))
+    if not np.isfinite(sigma).all():
+        raise SizeError("shortest-path counts overflow float64")
+    # Pass 2: avoidance counts; blocked parents pass nothing on, except
+    # the source itself.
+    cell_open = np.tile(unblocked, len(sources))
+    tau = sigma
+    if not unblocked.all():
+        tau = np.zeros(size)
+        tau[origin] = 1.0
+        for i, (parent, child) in enumerate(levels):
+            weight = tau[parent] if i == 0 else tau[parent] * cell_open[parent]
+            np.add.at(tau, child, weight)
+    # Pass 3: backward accumulation; a blocked child adds only itself as
+    # a target.
+    inv = np.zeros(size)
+    reached = dist >= 0
+    inv[reached] = 1.0 / sigma[reached]
+    delta = np.zeros(size)
+    for parent, child in reversed(levels):
+        contrib = inv[child] + delta[child] * cell_open[child]
+        np.add.at(delta, parent, contrib)
+    dep = tau * delta
+    dep[origin] = 0.0
+    return dep.reshape(len(sources), n).sum(axis=0)
 
 
 def ex_greedy(g, k):
@@ -227,12 +284,3 @@ def triangle_greedy(g, k):
         chosen.append(best)
         chosen_set.add(best)
     return chosen
-
-
-def centrality_csv(g, scores, path):
-    """Write "node,score,scaled_score" rows using original labels."""
-    denom = g.n * (g.n - 1) if g.n > 1 else 1
-    with open(path, "w") as fh:
-        fh.write("node,score,scaled_score\n")
-        for v, score in enumerate(scores):
-            fh.write(f"{g.labels[v]},{score:.9g},{score / denom:.9g}\n")

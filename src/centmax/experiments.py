@@ -7,12 +7,14 @@ import random
 from dataclasses import dataclass
 
 from . import exact, maximize, samplers
-from .graph import Graph, graph_from_labeled_edges, largest_component_size
+from .graph import graph_from_labeled_edges
 
 DEFAULT_ORDERING_EPS = 0.25
 
 
 def ordering_budget(n, eps=DEFAULT_ORDERING_EPS):
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     return math.ceil(100.0 * math.log(n) / (eps * eps))
 
 
@@ -43,8 +45,8 @@ class AttackCurve:
 def attack_curve(g, ordering, cap):
     """Largest weakly connected component size for every removal prefix
     0..cap, via reverse insertion with union-find (near-linear total)."""
-    if cap > g.n:
-        raise ValueError(f"cap={cap} exceeds n={g.n}")
+    if not 0 <= cap <= g.n:
+        raise ValueError(f"cap={cap} is outside 0..n={g.n}")
     prefix = list(ordering[:cap])
     removed = set(prefix)
     parent = list(range(g.n))
@@ -136,6 +138,8 @@ def evolve(temporal, snapshots, ks, spec, rng, eps=DEFAULT_ORDERING_EPS,
     ("cumulative": all edges up to the timestamp; "exact": edges stamped
     exactly at it, for dump-style datasets with deletions).
     """
+    if any(k < 1 for k in ks):
+        raise ValueError("every k must be positive")
     rows = []
     for when in snapshots:
         pairs = temporal.snapshot_edges(when, mode=mode)

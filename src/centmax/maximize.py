@@ -34,9 +34,6 @@ class HyperEdgePool:
     def __len__(self):
         return len(self.edges)
 
-    def degree(self, v):
-        return len(self.incidence.get(v, ()))
-
 
 @dataclass
 class RunResult:
@@ -73,11 +70,15 @@ def sample_budget(n, k, eps, ell=1, maxk_scaled=1.0):
 
 def experiment_budget(n, k, eps):
     """The empirical preset: ceil(k ln(n) / eps^2)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     return math.ceil(k * math.log(n) / (eps * eps))
 
 
 def equal_budget(n, eps):
     """The equal-footing comparison preset: ceil(2 ln(2 n^3) / eps^2)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     return math.ceil(2.0 * math.log(2.0 * n ** 3) / (eps * eps))
 
 

@@ -29,5 +29,17 @@ def random_graph(n, p, rng, directed=False):
     return Graph(n, edges, directed=directed)
 
 
+def diamond_chain_edges(count):
+    """Edges of `count` diamonds chained top to bottom: node 3i is the top
+    of diamond i, 3i+1 and 3i+2 its sides, and 3(i+1) its bottom, so node
+    3i has 2^i shortest paths from node 0."""
+    edges = []
+    for i in range(count):
+        top, bottom = 3 * i, 3 * (i + 1)
+        for side in (top + 1, top + 2):
+            edges += [(top, side), (side, bottom)]
+    return edges
+
+
 def seeded(x=0):
     return random.Random(x)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from centmax.cli import main
+from conftest import diamond_chain_edges
 
 
 def run(argv, capsys=None):
@@ -63,6 +64,12 @@ class TestMaximize:
         assert run(["maximize", "--input", str(tmp_path / "nope.txt"),
                     "--k", "1"]) == 4
 
+    def test_zero_eps_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, P4)
+        assert run(["maximize", "--input", inp, "--k", "1",
+                    "--eps", "0"]) == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
 
 class TestExact:
     def test_brandes_star(self, tmp_path):
@@ -88,6 +95,14 @@ class TestExact:
                     "-o", str(out)]) == 0
         rows = out.read_text().splitlines()
         assert rows[1].split(",")[1] == "1"
+
+    def test_path_count_overflow_is_size_error(self, tmp_path, capsys):
+        # 1100 chained diamonds: 2^1100 shortest paths overflow float64.
+        inp = write_graph(tmp_path, "".join(
+            f"{a} {b}\n" for a, b in diamond_chain_edges(1100)))
+        assert run(["exact", "--input", inp, "--mode", "brandes",
+                    "-o", str(tmp_path / "b.csv")]) == 3
+        assert "overflow" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -137,6 +152,16 @@ class TestAttack:
         assert rows[1] == "0,4"
         assert rows[2] == "1,2"
 
+    def test_negative_cap_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, P4)
+        assert run(["attack", "--input", inp, "--cap", "-1"]) == 2
+        assert "cap=-1" in capsys.readouterr().err
+
+    def test_zero_eps_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, P4)
+        assert run(["attack", "--input", inp, "--eps", "0"]) == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
 
 class TestInfluence:
     def test_p_zero_spread_equals_k(self, tmp_path):
@@ -151,6 +176,12 @@ class TestInfluence:
         for row in rows[1:]:
             assert float(row.split(",")[2]) == 2.0
 
+    def test_zero_eps_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, P4)
+        assert run(["influence", "--input", inp, "--k", "1",
+                    "--methods", "betw", "--eps", "0"]) == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
 
 class TestEvolve:
     def test_single_snapshot(self, tmp_path):
@@ -164,6 +195,19 @@ class TestEvolve:
         assert len(rows) == 2
         assert rows[1].startswith("5,3,2,")
 
+    def test_zero_eps_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, "0 1 5\n1 2 5\n", "t.txt")
+        assert run(["evolve", "--input", inp, "--snapshots", "5",
+                    "--eps", "0"]) == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
+    def test_nonpositive_k_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, "0 1 5\n1 2 5\n", "t.txt")
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--input", inp, "--snapshots", "5",
+                    "--k-values", "0,2", "-o", str(out)]) == 2
+        assert "k must be positive" in capsys.readouterr().err
+
 
 class TestSampleDump:
     def test_dump_count_and_labels(self, tmp_path):
@@ -175,3 +219,11 @@ class TestSampleDump:
         assert len(lines) == 30
         nonempty = {l for l in lines if l}
         assert nonempty == {"9"}
+
+    def test_nonpositive_count_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, "7 9\n9 20\n")
+        out = tmp_path / "d.txt"
+        assert run(["sample-dump", "--input", inp, "--count", "0",
+                    "-o", str(out)]) == 2
+        assert "--count must be positive" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,15 +3,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centmax import exact
 from centmax.errors import SizeError
 from centmax.exact import (adaptive_bwc, adaptive_bwc_all, brandes,
                            brute_force_max, ex_greedy, exact_coverage,
                            exact_kpath, set_bwc, triangle_count,
                            triangle_greedy)
-from centmax.graph import INF, bfs_dag
-from conftest import complete_graph, path_graph, random_graph, seeded, \
-    star_graph
+from centmax.graph import INF, Graph, bfs_dag
+from conftest import complete_graph, diamond_chain_edges, path_graph, \
+    random_graph, seeded, star_graph
 
 
 def all_shortest_paths(g, s, t):
@@ -46,6 +49,78 @@ def enumeration_set_bwc(g, nodes):
             hit = sum(1 for p in paths if nodes.intersection(p[1:-1]))
             terms.append(1.0 - (len(paths) - hit) / len(paths))
     return math.fsum(terms)
+
+
+@st.composite
+def graphs_with_sets(draw, min_n, max_n):
+    """A random graph whose last nodes may be isolated, and a node set."""
+    n = draw(st.integers(min_n, max_n))
+    directed = draw(st.booleans())
+    linked = draw(st.integers(1, n))
+    pairs = [(u, v) for u in range(linked) for v in range(linked)
+             if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=linked,
+                          max_size=3 * linked) if pairs else st.just([]))
+    nodes = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return Graph(n, edges, directed=directed), nodes
+
+
+def sweep_with_block_cells(g, nodes, block_cells):
+    saved = exact._BLOCK_CELLS
+    exact._BLOCK_CELLS = block_cells
+    try:
+        return adaptive_bwc_all(g, nodes)
+    finally:
+        exact._BLOCK_CELLS = saved
+
+
+class TestSweep:
+    """The numpy source-block sweep against the exact-integer oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_sets(1, 16), st.integers(1, 300))
+    def test_matches_per_node_marginals(self, case, block_cells):
+        g, nodes = case
+        # A small cell budget splits the sources over several blocks.
+        marg = sweep_with_block_cells(g, nodes, block_cells)
+        for u in range(g.n):
+            want = 0.0 if u in nodes else adaptive_bwc(g, u, nodes)
+            assert marg[u] == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=5, deadline=None)
+    @given(graphs_with_sets(91, 120), st.randoms(use_true_random=False))
+    def test_several_default_blocks(self, case, rnd):
+        # n > 90 spans at least two blocks of the default cell budget.  The
+        # exact oracle is slow at this size, so it checks a sample of nodes;
+        # one-source blocks check every node.
+        g, nodes = case
+        marg = adaptive_bwc_all(g, nodes)
+        assert marg == pytest.approx(sweep_with_block_cells(g, nodes, 1),
+                                     abs=1e-9)
+        for u in rnd.sample(range(g.n), 8):
+            want = 0.0 if u in nodes else adaptive_bwc(g, u, nodes)
+            assert marg[u] == pytest.approx(want, abs=1e-9)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = seeded(14)
+        for trial in range(12):
+            directed = trial % 2 == 1
+            g = random_graph(rng.randrange(2, 60), 0.08, rng,
+                             directed=directed)
+            h = nx.DiGraph() if directed else nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            ref = nx.betweenness_centrality(h, normalized=False)
+            # networkx counts each unordered pair once on undirected graphs.
+            scale = 1.0 if directed else 2.0
+            assert brandes(g) == pytest.approx(
+                [scale * ref[v] for v in range(g.n)], abs=1e-9)
+
+    def test_path_count_overflow(self):
+        g = Graph(3 * 1100 + 1, diamond_chain_edges(1100))
+        with pytest.raises(SizeError):
+            brandes(g)
 
 
 class TestBrandes:
