@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Every subcommand is seeded and reproducible: the same flags (including
---seed and --workers) produce byte-identical output, and each output embeds
-the configuration that made it.
+--seed) produce byte-identical output apart from wall times, and each output
+embeds the configuration that made it.
 
 Exit codes: 0 success, 2 usage error, 3 size-guard refusal or path-count
 overflow, 4 I/O error.
@@ -64,20 +64,35 @@ class UsageError(ValueError):
     pass
 
 
+# kind -> (form, allowed counts of float parameters after the integer size)
+_GENERATORS = {"ran": ("ran:N", (0,)), "hypercube": ("hypercube:R", (0,)),
+               "kron": ("kron:I[,a,b,c,d]", (0, 4)),
+               "lowerbound": ("lowerbound:N,EPS", (1,))}
+
+
 def _generate_from_spec(spec, rng):
-    """Inline generator spec: kind:param, e.g. ran:100, hypercube:3,
-    kron:8, lowerbound:10000,0.5."""
+    """The graph a generator spec names: ran:N, hypercube:R, lowerbound:N,EPS
+    or kron:I[,a,b,c,d] (row-major 2x2 seed, default 0.9,0.5,0.5,0.2)."""
     kind, _, rest = spec.partition(":")
+    if kind not in _GENERATORS:
+        raise UsageError(f"unknown generator spec {spec!r}; use one of "
+                         + ", ".join(f for f, _ in _GENERATORS.values()))
+    form, counts = _GENERATORS[kind]
+    size, *vals = rest.split(",")
+    try:
+        size, vals = int(size), [float(x) for x in vals]
+    except ValueError:
+        vals = None
+    if vals is None or len(vals) not in counts:
+        raise UsageError(f"generator spec {spec!r} is not of the form {form}")
     if kind == "ran":
-        return generators.gen_ran(int(rest), rng)
+        return generators.gen_ran(size, rng)
     if kind == "hypercube":
-        return generators.gen_hypercube(int(rest))
+        return generators.gen_hypercube(size)
     if kind == "kron":
-        return generators.gen_kronecker([[0.9, 0.5], [0.5, 0.2]], int(rest), rng)
-    if kind == "lowerbound":
-        n, eps = rest.split(",")
-        return generators.gen_lower_bound(int(n), float(eps))
-    raise UsageError(f"unknown generator spec {spec!r}")
+        m = vals or [0.9, 0.5, 0.5, 0.2]
+        return generators.gen_kronecker([m[:2], m[2:]], size, rng)
+    return generators.gen_lower_bound(size, vals[0])
 
 
 def _sampler_spec(args):
@@ -112,8 +127,7 @@ def cmd_maximize(args):
     budget = _resolve_budget(args, g.n)
     rng = random.Random(args.seed)
     result = maximize.hedge(g, spec, args.k, args.eps, args.ell,
-                            args.maxk_scaled, rng=rng, budget=budget,
-                            workers=args.workers)
+                            args.maxk_scaled, rng=rng, budget=budget)
     out = {
         "config": _config_dict(args),
         "selected": [g.labels[v] for v in result.selected],
@@ -163,27 +177,15 @@ def cmd_exact(args):
 
 
 def cmd_generate(args):
-    rng = random.Random(args.seed)
-    if args.generator == "ran":
-        g = generators.gen_ran(args.n, rng)
-    elif args.generator == "hypercube":
-        g = generators.gen_hypercube(args.r)
-    elif args.generator == "kron":
-        seed_vals = [float(x) for x in args.seed_matrix.split(",")]
-        if len(seed_vals) != 4:
-            raise UsageError("--seed-matrix needs 4 comma-separated values")
-        matrix = [seed_vals[:2], seed_vals[2:]]
-        g = generators.gen_kronecker(matrix, args.i, rng, method=args.method)
-    elif args.generator == "lowerbound":
-        g = generators.gen_lower_bound(args.n, args.eps)
-    else:
-        raise UsageError(f"unknown generator {args.generator!r}")
+    g = _generate_from_spec(args.spec, random.Random(args.seed))
     params = " ".join(f"{k}={v}" for k, v in g.meta.items())
     header = f"{params} seed={args.seed}"
     write_edge_list(g, args.output, header=header)
 
 
 def cmd_attack(args):
+    if args.cap < 0:
+        raise UsageError(f"cap={args.cap} must be non-negative")
     g = _load_graph(args)
     rng = random.Random(args.seed)
     if args.sampler == "triangle":
@@ -266,9 +268,10 @@ def cmd_sample_dump(args):
                                       for v in sorted(h)) + "\n")
 
 
-def _add_common(p, sampler=True):
-    p.add_argument("--input", help="edge-list file")
-    p.add_argument("--gen", help="inline generator spec, e.g. ran:100")
+def _add_common(p, sampler=True, gen=True):
+    p.add_argument("--input", required=not gen, help="edge-list file")
+    if gen:
+        p.add_argument("--gen", help="generator spec, as for generate")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", "-o", default="-")
@@ -294,7 +297,6 @@ def build_parser():
     p.add_argument("--maxk-scaled", type=float, default=1.0)
     p.add_argument("--budget", default="paper-exp",
                    help="theory | paper-exp | equal-yalg | explicit:N")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_maximize)
 
     p = sub.add_parser("exact", help="exact oracles and exhaustive greedy")
@@ -305,14 +307,7 @@ def build_parser():
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("generate", help="write a synthetic graph")
-    p.add_argument("generator", choices=["ran", "hypercube", "kron",
-                                         "lowerbound"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--seed-matrix", default="0.9,0.5,0.5,0.2")
-    p.add_argument("--method", choices=["exact", "ball"])
+    p.add_argument("spec", help=" | ".join(f for f, _ in _GENERATORS.values()))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_generate)
@@ -333,7 +328,7 @@ def build_parser():
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("evolve", help="per-snapshot centrality series")
-    _add_common(p)
+    _add_common(p, gen=False)
     p.add_argument("--snapshots", help="comma-separated timestamps")
     p.add_argument("--num-snapshots", type=int, default=10)
     p.add_argument("--k-values", default="1,50")

@@ -13,18 +13,25 @@ from .graph import Graph
 # Exact per-pair Bernoulli sampling is quadratic in n; above this many
 # levels we switch to ball dropping.
 _KRON_EXACT_MAX_I = 12
+# The exact path draws blocks of 2^_KRON_BLOCK_LEVELS rows of the matrix.
+_KRON_BLOCK_LEVELS = 8
 
 
 def _np_rng(rng):
     return np.random.default_rng(rng.getrandbits(64))
 
 
+def _seed_array(seed):
+    p = np.asarray(seed, dtype=np.float64)
+    if p.shape != (2, 2) or not ((p >= 0) & (p <= 1)).all():
+        raise ValueError("seed must be a 2x2 matrix of probabilities")
+    return p
+
+
 def kronecker_probability_matrix(seed, i):
     """Full n x n edge-probability matrix (n = 2^i) as the i-fold Kronecker
     power of the 2x2 seed."""
-    p = np.asarray(seed, dtype=np.float64)
-    if p.shape != (2, 2) or (p < 0).any() or (p > 1).any():
-        raise ValueError("seed must be a 2x2 matrix of probabilities")
+    p = _seed_array(seed)
     out = np.array([[1.0]])
     for _ in range(i):
         out = np.kron(out, p)
@@ -44,32 +51,42 @@ def expected_kronecker_edges(seed, i):
     return mean, math.sqrt(max(var, 0.0))
 
 
-def gen_kronecker(seed, i, rng, method=None):
+def gen_kronecker(seed, i, rng):
     """Undirected simple stochastic Kronecker graph on 2^i nodes.
 
-    method "exact" samples every pair Bernoulli (quadratic, i <= 12);
-    "ball" drops a Poisson number of edges cell-by-cell down the seed
-    recursion (any i).  Default picks by size.
+    Up to i = 12 every pair is sampled Bernoulli, one block of rows of the
+    probability matrix at a time (meta method "exact"); above that a
+    Poisson number of edges is dropped cell-by-cell down the seed recursion
+    (method "ball").
     """
     if not 1 <= i <= 24:
         raise ValueError("i must be in 1..24")
-    if method is None:
-        method = "exact" if i <= _KRON_EXACT_MAX_I else "ball"
+    p = _seed_array(seed)
     n = 2 ** i
     nrng = _np_rng(rng)
+    method = "exact" if i <= _KRON_EXACT_MAX_I else "ball"
     if method == "exact":
-        prob = kronecker_probability_matrix(seed, i)
-        upper = np.triu(nrng.random((n, n)) < prob, k=1)
-        us, vs = np.nonzero(upper)
-        edges = list(zip(us.tolist(), vs.tolist()))
-    elif method == "ball":
-        p = np.asarray(seed, dtype=np.float64)
+        # Rows r0..r0 + 2^b - 1 are row r0 >> b of the level-(i - b) matrix
+        # kron'd b more times: the products and the random stream of one
+        # (n, n) draw, in O(n 2^b) memory.
+        b = min(i, _KRON_BLOCK_LEVELS)
+        edges = []
+        for block, prob in enumerate(kronecker_probability_matrix(p, i - b)):
+            prob = prob[None, :]
+            for _ in range(b):
+                prob = np.kron(prob, p)
+            r0 = block << b
+            us, vs = np.nonzero(np.triu(nrng.random(prob.shape) < prob,
+                                        k=r0 + 1))
+            edges.extend(zip((us + r0).tolist(), vs.tolist()))
+    else:
         mass = p.sum()
         # Each undirected edge can arrive through either ordered cell, so
         # half the ordered-cell mass keeps expected edge counts aligned
         # with the per-pair Bernoulli model.
         count = int(nrng.poisson(mass ** i / 2.0))
-        cell_p = (p / mass).ravel()
+        # count > 0 implies mass > 0; an all-zero seed drops no balls.
+        cell_p = (p / mass).ravel() if count else None
         cells = nrng.choice(4, size=(count, i), p=cell_p)
         rows = cells // 2
         cols = cells % 2
@@ -77,10 +94,8 @@ def gen_kronecker(seed, i, rng, method=None):
         us = (rows * weights).sum(axis=1)
         vs = (cols * weights).sum(axis=1)
         edges = list(zip(us.tolist(), vs.tolist()))
-    else:
-        raise ValueError(f"unknown kronecker method {method!r}")
     meta = {"generator": "kronecker", "i": i, "method": method,
-            "seed_matrix": [float(x) for row in np.asarray(seed) for x in row]}
+            "seed_matrix": [float(x) for row in p for x in row]}
     return Graph(n, edges, directed=False, meta=meta)
 
 

@@ -184,12 +184,8 @@ def bfs_dist_sigma(g, s, reverse=False, stop_at=None):
 
 def _ranges(counts):
     """Concatenated arange(c) for each c in counts, as one flat array."""
-    total = int(counts.sum())
-    out = np.ones(total, dtype=np.int64)
-    out[0] = 0
-    ends = np.cumsum(counts)[:-1]
-    out[ends] = 1 - counts[:-1]
-    return np.cumsum(out)
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
 @dataclass

@@ -70,6 +70,8 @@ def sample_budget(n, k, eps, ell=1, maxk_scaled=1.0):
 
 def experiment_budget(n, k, eps):
     """The empirical preset: ceil(k ln(n) / eps^2)."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     if eps <= 0:
         raise ValueError("eps must be positive")
     return math.ceil(k * math.log(n) / (eps * eps))
@@ -82,24 +84,12 @@ def equal_budget(n, eps):
     return math.ceil(2.0 * math.log(2.0 * n ** 3) / (eps * eps))
 
 
-def build_pool(g, spec, q, rng, workers=1):
-    """q independent hyper-edges.  With workers > 1 the pool is the ordered
-    concatenation of per-worker streams seeded from rng, so results are
-    reproducible for a fixed worker count."""
+def build_pool(g, spec, q, rng):
+    """q independent hyper-edges, drawn in order from rng."""
     if q < 1:
         raise ValueError("pool size must be positive")
-    a = samplers.alpha(spec, g)
-    if workers <= 1:
-        edges = [samplers.sample(g, spec, rng) for _ in range(q)]
-    else:
-        seeds = [rng.getrandbits(64) for _ in range(workers)]
-        shares = [q // workers + (1 if i < q % workers else 0)
-                  for i in range(workers)]
-        edges = []
-        for seed, share in zip(seeds, shares):
-            wrng = random.Random(seed)
-            edges.extend(samplers.sample(g, spec, wrng) for _ in range(share))
-    return HyperEdgePool.from_edges(edges, g.n, a)
+    edges = [samplers.sample(g, spec, rng) for _ in range(q)]
+    return HyperEdgePool.from_edges(edges, g.n, samplers.alpha(spec, g))
 
 
 def greedy_cover(pool, k):
@@ -162,15 +152,14 @@ def estimate_centrality(pool, nodes, alpha_value=None):
     return a * len(hit) / len(pool.edges)
 
 
-def hedge(g, spec, k, eps, ell=1, maxk_scaled=1.0, rng=None, budget=None,
-          workers=1):
+def hedge(g, spec, k, eps, ell=1, maxk_scaled=1.0, rng=None, budget=None):
     """Full pipeline: budget (halved eps unless given explicitly), pool,
     greedy.  Returns a RunResult with wall time."""
     rng = rng if rng is not None else random.Random(0)
     if budget is None:
         budget = sample_budget(g.n, k, eps / 2.0, ell, maxk_scaled)
     t0 = time.perf_counter()
-    pool = build_pool(g, spec, budget, rng, workers=workers)
+    pool = build_pool(g, spec, budget, rng)
     result = greedy_cover(pool, k)
     result.wall_time = time.perf_counter() - t0
     return result

@@ -63,6 +63,8 @@ def sample_bwc(g, rng):
     if g.n < 2:
         raise ValueError("betweenness sampler needs n >= 2")
     s, t = _random_ordered_pair(g.n, rng)
+    if not g.adj[s] or not g.radj[t]:
+        return frozenset()  # t is unreachable; skip the BFS
     if g.n <= _CACHE_MAX_N:
         dag = bfs_dag(g, s)
         dist, sigma = dag.dist, dag.sigma
@@ -107,6 +109,8 @@ def sample_coverage(g, rng):
     if g.n < 2:
         raise ValueError("coverage sampler needs n >= 2")
     s, t = _random_ordered_pair(g.n, rng)
+    if not g.adj[s] or not g.radj[t]:
+        return frozenset()  # t is unreachable; skip the BFS
     if g.n <= _CACHE_MAX_N:
         dist_s = bfs_dag(g, s).dist
         dist_t = bfs_dag(g, t, reverse=True).dist

@@ -1,8 +1,13 @@
+import argparse
 import json
+import random
 
 import pytest
 
-from centmax.cli import main
+from centmax import experiments
+from centmax.cli import _load_graph, main
+from centmax.generators import gen_kronecker, gen_ran
+from centmax.graph import write_edge_list
 from conftest import diamond_chain_edges
 
 
@@ -70,6 +75,11 @@ class TestMaximize:
                     "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
 
+    def test_zero_k_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, P4)
+        assert run(["maximize", "--input", inp, "--k", "0"]) == 2
+        assert "k must be a positive integer" in capsys.readouterr().err
+
 
 class TestExact:
     def test_brandes_star(self, tmp_path):
@@ -108,36 +118,67 @@ class TestExact:
 class TestGenerate:
     def test_ran_k4(self, tmp_path):
         out = tmp_path / "ran.txt"
-        assert run(["generate", "ran", "--n", "4", "-o", str(out)]) == 0
+        assert run(["generate", "ran:4", "-o", str(out)]) == 0
         edges = [l for l in out.read_text().splitlines()
                  if not l.startswith("#")]
         assert len(edges) == 6
 
     def test_hypercube(self, tmp_path):
         out = tmp_path / "q3.txt"
-        assert run(["generate", "hypercube", "--r", "3", "-o", str(out)]) == 0
+        assert run(["generate", "hypercube:3", "-o", str(out)]) == 0
         edges = [l for l in out.read_text().splitlines()
                  if not l.startswith("#")]
         assert len(edges) == 12
 
     def test_kron(self, tmp_path):
         out = tmp_path / "k.txt"
-        assert run(["generate", "kron", "--i", "8",
-                    "--seed-matrix", "0.9,0.5,0.5,0.2", "-o", str(out)]) == 0
+        assert run(["generate", "kron:8,0.9,0.5,0.5,0.2",
+                    "-o", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert "generator=kronecker" in header and "i=8" in header
 
     def test_roundtrip_through_loader(self, tmp_path):
         out = tmp_path / "ran.txt"
-        assert run(["generate", "ran", "--n", "30", "--seed", "5",
+        assert run(["generate", "ran:30", "--seed", "5",
                     "-o", str(out)]) == 0
         from centmax.graph import load_edge_list
         g = load_edge_list(str(out))
         assert g.n == 30 and g.m == 84
 
     def test_bad_params(self, tmp_path):
-        assert run(["generate", "ran", "--n", "2",
+        assert run(["generate", "ran:2",
                     "-o", str(tmp_path / "x.txt")]) == 2
+
+    @pytest.mark.parametrize("spec", ["ran:", "ran", "ran:x", "ran:30,2",
+                                      "hypercube", "lowerbound:100",
+                                      "kron:4,0.1", "kron:4,1,1,1,x",
+                                      "kron:4,2,0,0,0", "grid:4"])
+    def test_malformed_spec_is_usage_error(self, tmp_path, spec, capsys):
+        out = tmp_path / "x.txt"
+        assert run(["generate", spec, "-o", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_gen_is_usage_error(self, capsys):
+        assert run(["maximize", "--gen", "kron:4,2,0,0,0", "--k", "1"]) == 2
+        assert "probabilities" in capsys.readouterr().err
+
+    def test_same_graph_as_library(self, tmp_path):
+        out, ref = tmp_path / "cli.txt", tmp_path / "lib.txt"
+        assert run(["generate", "ran:30", "--seed", "5", "-o", str(out)]) == 0
+        write_edge_list(gen_ran(30, random.Random(5)), str(ref),
+                        header="generator=ran n=30 seed=5")
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_gen_takes_seed_matrix(self):
+        args = argparse.Namespace(gen="kron:6,0.8,0.4,0.3,0.1", seed=5)
+        g = _load_graph(args)
+        ref = gen_kronecker([[0.8, 0.4], [0.3, 0.1]], 6,
+                            random.Random(5 ^ 0x9E3779B9))
+        assert g.meta["seed_matrix"] == [0.8, 0.4, 0.3, 0.1]
+        assert g.adj == ref.adj
+        assert _load_graph(argparse.Namespace(
+            gen="kron:6,1,1,1,1", seed=5)).m == 64 * 63 // 2
 
 
 class TestAttack:
@@ -156,6 +197,12 @@ class TestAttack:
         inp = write_graph(tmp_path, P4)
         assert run(["attack", "--input", inp, "--cap", "-1"]) == 2
         assert "cap=-1" in capsys.readouterr().err
+
+    def test_negative_cap_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("ordering sampled before the cap check")
+        monkeypatch.setattr(experiments, "centrality_ordering", no_sampling)
+        assert run(["attack", "--gen", "ran:2000", "--cap", "-1"]) == 2
 
     def test_zero_eps_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, P4)
@@ -200,6 +247,14 @@ class TestEvolve:
         assert run(["evolve", "--input", inp, "--snapshots", "5",
                     "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
+
+    def test_needs_temporal_input(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", "--gen", "ran:10"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve"])
+        assert exc.value.code == 2
 
     def test_nonpositive_k_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, "0 1 5\n1 2 5\n", "t.txt")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from centmax import generators
 from centmax.exact import brandes
 from centmax.generators import (RanState, expected_kronecker_edges,
                                 gen_hypercube, gen_kronecker,
@@ -44,12 +45,37 @@ class TestKronecker:
         assert abs(np.mean(counts) - mean) <= 5 * std / math.sqrt(50)
 
     def test_ball_dropping_is_close(self):
-        i = 9
+        i = 13
         mean, _ = expected_kronecker_edges(CORE_PERIPHERY, i)
-        g = gen_kronecker(CORE_PERIPHERY, i, seeded(3), method="ball")
-        assert g.n == 2 ** i
+        g = gen_kronecker(CORE_PERIPHERY, i, seeded(3))
+        assert g.n == 2 ** i and g.meta["method"] == "ball"
         # Ball dropping Poissonizes and collides; allow a loose band.
         assert 0.5 * mean < g.m <= 1.1 * mean
+
+    @pytest.mark.parametrize("levels", [0, 2, 8])
+    def test_row_blocks_match_dense_draw(self, levels, monkeypatch):
+        # One (n, n) uniform draw against the full probability matrix,
+        # upper triangle: the exact path must give the same edges for any
+        # block height.
+        monkeypatch.setattr(generators, "_KRON_BLOCK_LEVELS", levels)
+        for seed in ([[0.9, 0.5], [0.5, 0.2]], [[0.99, 0.45], [0.3, 0.25]]):
+            for i in range(1, 9):
+                for s in range(3):
+                    nrng = np.random.default_rng(seeded(s).getrandbits(64))
+                    n = 2 ** i
+                    dense = nrng.random((n, n)) < \
+                        kronecker_probability_matrix(seed, i)
+                    us, vs = np.nonzero(np.triu(dense, k=1))
+                    g = gen_kronecker(seed, i, seeded(s))
+                    assert g.meta["method"] == "exact"
+                    assert sorted(g.edges()) == list(zip(us.tolist(),
+                                                         vs.tolist()))
+
+    def test_seed_checked_on_both_paths(self):
+        for i in (4, 13):
+            with pytest.raises(ValueError):
+                gen_kronecker([[2, 0], [0, 0]], i, seeded(0))
+            assert gen_kronecker([[0, 0], [0, 0]], i, seeded(0)).m == 0
 
     def test_deterministic(self):
         a = gen_kronecker(CORE_PERIPHERY, 5, seeded(7))

@@ -130,6 +130,18 @@ class TestBfsDag:
                 if ref >= 0:
                     assert int(sigma[v]) == dag.sigma[v]
 
+    def test_vectorized_matches_with_sinks(self):
+        # Sparse directed graphs put out-degree-0 nodes inside BFS frontiers.
+        rng = seeded(3)
+        for _ in range(30):
+            g = random_graph(30, 0.05, rng, directed=True)
+            for s in range(g.n):
+                dag = bfs_dag(g, s)
+                dist, sigma = bfs_dist_sigma(g, s)
+                assert dist.tolist() == [-1 if d is INF else d
+                                         for d in dag.dist]
+                assert sigma.tolist() == dag.sigma
+
 
 def naive_component_count(g, removed=()):
     removed = set(removed)

@@ -58,14 +58,6 @@ class TestBuildPool:
         b = build_pool(g, SamplerSpec("betweenness"), 50, seeded(7)).edges
         assert a == b
 
-    def test_workers_deterministic_for_fixed_count(self):
-        g = random_graph(20, 0.2, seeded(1))
-        a = build_pool(g, SamplerSpec("betweenness"), 51, seeded(7),
-                       workers=3).edges
-        b = build_pool(g, SamplerSpec("betweenness"), 51, seeded(7),
-                       workers=3).edges
-        assert a == b and len(a) == 51
-
     def test_incidence_inverse_of_membership(self):
         g = random_graph(15, 0.25, seeded(2))
         pool = build_pool(g, SamplerSpec("coverage"), 40, seeded(3))

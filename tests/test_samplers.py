@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from centmax import exact
+from centmax import exact, samplers
 from centmax.graph import Graph
 from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges,
                               load_hyperedges, sample, sample_bwc,
@@ -115,6 +115,42 @@ class TestBwcSampler:
             assert len(h) == 1  # rook pairs have exactly one internal node
             (v,) = h
             assert v < rows * cols
+
+
+class TestUnreachablePairs:
+    @pytest.mark.parametrize("n", [10, 2100])  # cached-DAG and numpy sizes
+    @pytest.mark.parametrize("sampler", [sample_bwc, sample_coverage])
+    def test_edgeless_graph_skips_bfs(self, n, sampler, monkeypatch):
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("BFS ran for an unreachable pair")
+        monkeypatch.setattr(samplers, "bfs_dag", no_bfs)
+        monkeypatch.setattr(samplers, "bfs_dist_sigma", no_bfs)
+        g = Graph(n, [])
+        rng, ref = seeded(4), seeded(4)
+        for _ in range(200):
+            assert sampler(g, rng) == frozenset()
+            samplers._random_ordered_pair(n, ref)
+        # Only the pair is drawn, as on the path that runs the BFS.
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [10, 2100])
+    @pytest.mark.parametrize("sampler", [sample_bwc, sample_coverage])
+    def test_bfs_runs_only_if_t_may_be_reachable(self, n, sampler,
+                                                 monkeypatch):
+        # Every node but 0 has an out-edge; only node 0 has in-edges.
+        g = Graph(n, [(v, 0) for v in range(1, n)], directed=True)
+        calls = []
+        for name in ("bfs_dag", "bfs_dist_sigma"):
+            def counted(*args, real=getattr(samplers, name), **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(samplers, name, counted)
+        rng, ref = seeded(5), seeded(5)
+        for _ in range(300):
+            before = len(calls)
+            assert sampler(g, rng) == frozenset()
+            _, t = samplers._random_ordered_pair(n, ref)
+            assert (len(calls) > before) == (t == 0)
 
 
 def enumerate_paths(dag, t):
