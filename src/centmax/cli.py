@@ -53,11 +53,14 @@ def _open_out(path):
 
 
 def _load_graph(args):
-    if getattr(args, "gen", None):
-        return _generate_from_spec(args.gen, random.Random(args.seed ^ 0x9E3779B9))
-    if not getattr(args, "input", None):
+    spec, path = getattr(args, "gen", None), getattr(args, "input", None)
+    if spec and path:
+        raise UsageError("give --input or --gen, not both")
+    if spec:
+        return _generate_from_spec(spec, random.Random(args.seed ^ 0x9E3779B9))
+    if not path:
         raise UsageError("need --input or --gen")
-    return load_edge_list(args.input, directed=args.directed)
+    return load_edge_list(path, directed=args.directed)
 
 
 class UsageError(ValueError):
@@ -259,7 +262,7 @@ def cmd_sample_dump(args):
     g = _load_graph(args)
     spec = _sampler_spec(args)
     rng = random.Random(args.seed)
-    edges = [samplers.sample(g, spec, rng) for _ in range(args.count)]
+    edges = (samplers.sample(g, spec, rng) for _ in range(args.count))
     if args.output and args.output != "-":
         samplers.dump_hyperedges(edges, args.output, labels=g.labels)
     else:

@@ -26,7 +26,7 @@ class Graph:
     """Simple graph over dense integer ids with sorted adjacency lists."""
 
     __slots__ = ("n", "directed", "adj", "radj", "labels", "meta",
-                 "_csr", "_rcsr", "_dag_cache", "_rdag_cache")
+                 "_csr", "_dag_cache")
 
     def __init__(self, n, edges, directed=False, labels=None, meta=None):
         self.n = n
@@ -47,9 +47,7 @@ class Graph:
         self.adj = [sorted(s) for s in out]
         self.radj = self.adj if not directed else [sorted(s) for s in rin]
         self._csr = None
-        self._rcsr = None
         self._dag_cache = {}
-        self._rdag_cache = {}
 
     @property
     def m(self):
@@ -67,12 +65,8 @@ class Graph:
                 if self.directed or u < v:
                     yield u, v
 
-    def csr(self, reverse=False):
-        """(indptr, indices) arrays for the out- (or in-) adjacency."""
-        if reverse and self.directed:
-            if self._rcsr is None:
-                self._rcsr = _build_csr(self.radj)
-            return self._rcsr
+    def csr(self):
+        """(indptr, indices) arrays for the out-adjacency."""
         if self._csr is None:
             self._csr = _build_csr(self.adj)
         return self._csr
@@ -104,17 +98,16 @@ class ShortestPathDAG:
     order: list = field(default_factory=list)  # nodes in nondecreasing distance
 
 
-def bfs_dag(g, s, reverse=False):
-    """BFS shortest-path DAG from s.  reverse=True walks in-edges (directed).
+def bfs_dag(g, s):
+    """BFS shortest-path DAG from s along out-edges.
 
     Cached on the graph for small n; treat the result as immutable.
     """
     if not (0 <= s < g.n):
         raise ValueError(f"source {s} out of range for n={g.n}")
-    cache = g._rdag_cache if (reverse and g.directed) else g._dag_cache
-    if g.n <= _CACHE_MAX_N and s in cache:
-        return cache[s]
-    adj = g.radj if reverse else g.adj
+    if g.n <= _CACHE_MAX_N and s in g._dag_cache:
+        return g._dag_cache[s]
+    adj = g.adj
     dist = [INF] * g.n
     sigma = [0] * g.n
     preds = [[] for _ in range(g.n)]
@@ -136,11 +129,11 @@ def bfs_dag(g, s, reverse=False):
                 preds[w].append(v)
     dag = ShortestPathDAG(s, dist, sigma, preds, order)
     if g.n <= _CACHE_MAX_N:
-        cache[s] = dag
+        g._dag_cache[s] = dag
     return dag
 
 
-def bfs_dist_sigma(g, s, reverse=False, stop_at=None):
+def bfs_dist_sigma(g, s, stop_at=None):
     """Level-synchronous numpy BFS returning (dist, sigma) arrays.
 
     dist is int64 with -1 for unreachable.  sigma is int64; if counts risk
@@ -148,7 +141,7 @@ def bfs_dist_sigma(g, s, reverse=False, stop_at=None):
     levels beyond dist[stop_at] are not expanded (sigma is then only valid
     for nodes at distance <= dist[stop_at]).
     """
-    indptr, indices = g.csr(reverse=reverse)
+    indptr, indices = g.csr()
     n = g.n
     dist = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n, dtype=np.int64)
@@ -172,7 +165,7 @@ def bfs_dist_sigma(g, s, reverse=False, stop_at=None):
             dist[nbrs[fresh]] = level + 1
         sel = dist[nbrs] == level + 1
         if int(sigma[frontier].max()) > limit:
-            dag = bfs_dag(g, s, reverse=reverse)
+            dag = bfs_dag(g, s)
             d = np.array([-1 if x is INF else int(x) for x in dag.dist],
                          dtype=np.int64)
             return d, dag.sigma
@@ -299,18 +292,6 @@ def largest_component_size(g, removed=()):
                     stack.append(w)
         best = max(best, size)
     return best
-
-
-def incident_triangles(g, v):
-    """Number of distinct triangles containing v (direction ignored)."""
-    nv = g.weak_neighbors(v)
-    nv_set = set(nv)
-    count = 0
-    for u in nv:
-        for w in g.weak_neighbors(u):
-            if w in nv_set:
-                count += 1
-    return count // 2
 
 
 def all_triangles(g):

@@ -13,6 +13,10 @@ import time
 from dataclasses import dataclass, field
 
 from . import samplers
+from .errors import SizeError
+
+# Largest pool build_pool draws: 10^7 frozensets already take gigabytes.
+_POOL_GUARD = 10 ** 7
 
 
 @dataclass
@@ -88,6 +92,8 @@ def build_pool(g, spec, q, rng):
     """q independent hyper-edges, drawn in order from rng."""
     if q < 1:
         raise ValueError("pool size must be positive")
+    if q > _POOL_GUARD:
+        raise SizeError(f"pool size {q} exceeds the guard {_POOL_GUARD}")
     edges = [samplers.sample(g, spec, rng) for _ in range(q)]
     return HyperEdgePool.from_edges(edges, g.n, samplers.alpha(spec, g))
 

@@ -57,45 +57,49 @@ def _random_ordered_pair(n, rng):
     return s, t
 
 
+def _pair_dag(g, rng):
+    """Draw a uniformly random ordered pair (s, t) and BFS forward from s.
+
+    None if t is unreachable from s or adjacent to it; otherwise
+    (t, dist, sigma, preds), where dist and sigma index by node and preds(v)
+    lists v's predecessors in the shortest-path DAG of s, for every v with
+    dist[v] <= dist[t].
+    """
+    if g.n < 2:
+        raise ValueError("pair samplers need n >= 2")
+    s, t = _random_ordered_pair(g.n, rng)
+    if not g.adj[s] or not g.radj[t]:
+        return None  # t is unreachable; skip the BFS
+    if g.n <= _CACHE_MAX_N:
+        dag = bfs_dag(g, s)
+        dist, sigma, preds = dag.dist, dag.sigma, dag.preds.__getitem__
+    else:
+        dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
+
+        def preds(v):
+            dvm1 = dist[v] - 1
+            return [u for u in g.radj[v] if dist[u] == dvm1]
+    # Unreachable reads INF from bfs_dag and -1 from bfs_dist_sigma.
+    if dist[t] is INF or dist[t] <= 1:
+        return None
+    return t, dist, sigma, preds
+
+
 def sample_bwc(g, rng):
     """Internal nodes of a uniformly random shortest path between a
     uniformly random ordered pair; empty if unreachable or adjacent."""
-    if g.n < 2:
-        raise ValueError("betweenness sampler needs n >= 2")
-    s, t = _random_ordered_pair(g.n, rng)
-    if not g.adj[s] or not g.radj[t]:
-        return frozenset()  # t is unreachable; skip the BFS
-    if g.n <= _CACHE_MAX_N:
-        dag = bfs_dag(g, s)
-        dist, sigma = dag.dist, dag.sigma
-        if dist[t] is INF or dist[t] <= 1:
-            return frozenset()
-        # Walk backward from t, picking each predecessor u with probability
-        # sigma(u)/sigma(v); exact uniformity over all shortest paths.
-        internal = []
-        v = t
-        while dist[v] > 1:
-            r = rng.randrange(sigma[v])
-            for u in dag.preds[v]:
-                r -= sigma[u]
-                if r < 0:
-                    v = u
-                    break
-            internal.append(v)
-        return frozenset(internal)
-    dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
-    dt = int(dist[t])
-    if dt < 0 or dt <= 1:
+    pair = _pair_dag(g, rng)
+    if pair is None:
         return frozenset()
+    t, dist, sigma, preds = pair
+    # Walk backward from t, picking each predecessor u with probability
+    # sigma(u)/sigma(v); exact uniformity over all shortest paths.
     internal = []
     v = t
-    while int(dist[v]) > 1:
-        dvm1 = int(dist[v]) - 1
-        preds = [int(u) for u in g.radj[v] if dist[u] == dvm1]
-        total = sum(int(sigma[u]) for u in preds)
-        r = rng.randrange(total)
-        for u in preds:
-            r -= int(sigma[u])
+    while dist[v] > 1:
+        r = rng.randrange(sigma[v])
+        for u in preds(v):
+            r -= sigma[u]
             if r < 0:
                 v = u
                 break
@@ -105,27 +109,21 @@ def sample_bwc(g, rng):
 
 def sample_coverage(g, rng):
     """All internal nodes lying on any shortest path of a random ordered
-    pair; empty if unreachable or adjacent."""
-    if g.n < 2:
-        raise ValueError("coverage sampler needs n >= 2")
-    s, t = _random_ordered_pair(g.n, rng)
-    if not g.adj[s] or not g.radj[t]:
-        return frozenset()  # t is unreachable; skip the BFS
-    if g.n <= _CACHE_MAX_N:
-        dist_s = bfs_dag(g, s).dist
-        dist_t = bfs_dag(g, t, reverse=True).dist
-        d = dist_s[t]
-        if d is INF or d <= 1:
-            return frozenset()
-        return frozenset(v for v in range(g.n)
-                         if v != s and v != t and dist_s[v] + dist_t[v] == d)
-    dist_s, _ = bfs_dist_sigma(g, s)
-    d = int(dist_s[t])
-    if d < 0 or d <= 1:
+    pair (the ancestors of t in the shortest-path DAG of s, less s); empty
+    if unreachable or adjacent."""
+    pair = _pair_dag(g, rng)
+    if pair is None:
         return frozenset()
-    dist_t, _ = bfs_dist_sigma(g, t, reverse=True)
-    hits = ((dist_s >= 0) & (dist_t >= 0) & (dist_s + dist_t == d)).nonzero()[0]
-    return frozenset(int(v) for v in hits if v != s and v != t)
+    t, dist, _, preds = pair
+    seen = {t}
+    stack = [t]
+    while stack:
+        for u in preds(stack.pop()):
+            if u not in seen and dist[u] > 0:
+                seen.add(u)
+                stack.append(u)
+    seen.discard(t)
+    return frozenset(seen)
 
 
 def sample_kpath(g, kappa, rng):

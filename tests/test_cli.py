@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from centmax import experiments
+from centmax import experiments, samplers
 from centmax.cli import _load_graph, main
 from centmax.generators import gen_kronecker, gen_ran
 from centmax.graph import write_edge_list
@@ -24,6 +24,10 @@ def write_graph(tmp_path, text, name="g.txt"):
 
 P3 = "0 1\n1 2\n"
 P4 = "0 1\n1 2\n2 3\n"
+
+
+def no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the pool-size guard")
 
 
 class TestMaximize:
@@ -79,6 +83,19 @@ class TestMaximize:
         inp = write_graph(tmp_path, P4)
         assert run(["maximize", "--input", inp, "--k", "0"]) == 2
         assert "k must be a positive integer" in capsys.readouterr().err
+
+    def test_input_with_gen_is_usage_error(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, P3)
+        assert run(["maximize", "--input", inp, "--gen", "ran:50",
+                    "--k", "1"]) == 2
+        assert "not both" in capsys.readouterr().err
+
+    def test_oversized_pool_is_size_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(samplers, "sample", no_sampling)
+        # The theory budget here is about 1.4e10 samples.
+        assert run(["maximize", "--gen", "ran:50", "--k", "2",
+                    "--budget", "theory", "--maxk-scaled", "1e-6"]) == 3
+        assert "exceeds the guard" in capsys.readouterr().err
 
 
 class TestExact:
@@ -228,6 +245,12 @@ class TestInfluence:
         assert run(["influence", "--input", inp, "--k", "1",
                     "--methods", "betw", "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
+
+    def test_oversized_rr_pool_is_size_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(samplers, "sample", no_sampling)
+        inp = write_graph(tmp_path, P4)
+        assert run(["influence", "--input", inp, "--k", "1",
+                    "--num-rr", "20000000"]) == 3
 
 
 class TestEvolve:

@@ -5,8 +5,8 @@ import pytest
 
 from centmax.errors import ParseError
 from centmax.graph import (INF, Graph, bfs_dag, bfs_dist_sigma,
-                           incident_triangles, largest_component_size,
-                           load_edge_list, load_temporal_edge_list)
+                           largest_component_size, load_edge_list,
+                           load_temporal_edge_list)
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, \
     seeded, star_graph
 
@@ -184,33 +184,6 @@ class TestComponents:
             assert largest_component_size(g) == naive_component_count(g)
 
 
-def brute_triangles_at(g, v):
-    count = 0
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            for c in range(b + 1, g.n):
-                if v in (a, b, c) and b in g.adj[a] and c in g.adj[b] \
-                        and c in g.adj[a]:
-                    count += 1
-    return count
-
-
-class TestTriangles:
-    def test_k3(self):
-        assert incident_triangles(complete_graph(3), 0) == 1
-
-    def test_k4(self):
-        assert incident_triangles(complete_graph(4), 2) == 3
-
-    def test_tree(self):
-        assert incident_triangles(star_graph(4), 0) == 0
-
-    def test_matches_brute_force(self):
-        rng = seeded(8)
-        for _ in range(5):
-            g = random_graph(20, 0.3, rng)
-            for v in range(g.n):
-                assert incident_triangles(g, v) == brute_triangles_at(g, v)
 
 
 def test_sigma_huge_counts_exact():

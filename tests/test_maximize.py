@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from centmax import exact
+from centmax import exact, samplers
+from centmax.errors import SizeError
 from centmax.graph import Graph
 from centmax.maximize import (HyperEdgePool, build_pool, equal_budget,
                               estimate_centrality, experiment_budget,
@@ -57,6 +58,14 @@ class TestBuildPool:
         a = build_pool(g, SamplerSpec("betweenness"), 50, seeded(7)).edges
         b = build_pool(g, SamplerSpec("betweenness"), 50, seeded(7)).edges
         assert a == b
+
+    def test_oversized_pool_is_size_error(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the pool-size guard")
+        monkeypatch.setattr(samplers, "sample", no_sampling)
+        with pytest.raises(SizeError):
+            build_pool(path_graph(5), SamplerSpec("betweenness"), 10 ** 7 + 1,
+                       seeded(0))
 
     def test_incidence_inverse_of_membership(self):
         g = random_graph(15, 0.25, seeded(2))

@@ -4,9 +4,11 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centmax import exact, samplers
-from centmax.graph import Graph
+from centmax.graph import Graph, bfs_dag
 from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges,
                               load_hyperedges, sample, sample_bwc,
                               sample_coverage, sample_kpath, sample_rr)
@@ -192,6 +194,80 @@ class TestCoverageSampler:
         assert frozenset({1, 2}) not in seen  # d(0,3)=1 kills the long route
         assert frozenset({1}) in seen  # pair (0,2)
         assert frozenset({2}) in seen  # pair (1,3)
+
+
+def sparse_graph(n, degree, rng, directed):
+    return Graph(n, [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(n * degree)], directed=directed)
+
+
+def reversed_graph(g):
+    return Graph(g.n, [(v, u) for u, v in g.edges()], directed=g.directed)
+
+
+def on_shortest_paths(g, rg, s, t):
+    """d(s,t) and {v not in {s,t} : d(s,v) + d(v,t) = d(s,t)} from one BFS
+    on g and one on its reverse rg, plus the distances from s."""
+    dist_s, dist_t = bfs_dag(g, s).dist, bfs_dag(rg, t).dist
+    d = dist_s[t]
+    cover = frozenset(v for v in range(g.n) if v != s and v != t
+                      and dist_s[v] + dist_t[v] == d)
+    return d, cover, dist_s
+
+
+def clone(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def check_pair_samplers(g, rg, rng):
+    """Both samplers against the definitions, on the pair rng draws next;
+    rg is g reversed.  Returns the coverage sample."""
+    ref, walk = clone(rng), clone(rng)
+    s, t = samplers._random_ordered_pair(g.n, ref)
+    d, cover, dist_s = on_shortest_paths(g, rg, s, t)
+    h = sample_coverage(g, rng)
+    # Coverage draws the pair and nothing else.
+    assert rng.getstate() == ref.getstate()
+    unlinked = d is math.inf or d <= 1
+    assert h == (frozenset() if unlinked else cover)
+    path = sample_bwc(g, walk)
+    if unlinked:
+        assert path == frozenset()
+        return h
+    # The walk is the interior of one shortest s-t path.
+    nodes = [s] + sorted(path, key=dist_s.__getitem__) + [t]
+    assert [dist_s[v] for v in nodes] == list(range(d + 1))
+    assert all(b in g.adj[a] for a, b in zip(nodes, nodes[1:]))
+    return h
+
+
+class TestPairCore:
+    """Both pair samplers read one forward shortest-path DAG per pair."""
+
+    @pytest.mark.parametrize("n", [60, 2200])  # cached-DAG and numpy sizes
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_samples_match_the_definitions(self, n, directed):
+        rng = seeded(n + directed)
+        g = sparse_graph(n, 2, rng, directed)
+        rg = reversed_graph(g)
+        sizes = [len(check_pair_samplers(g, rg, rng))
+                 for _ in range(150 if n < 2048 else 40)]
+        assert max(sizes) >= 2  # some pair has several interior nodes
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=3 * n))),
+        st.integers(0, 2 ** 32))
+    def test_small_directed_graphs(self, graph, seed):
+        n, edges = graph
+        g = Graph(n, edges, directed=True)
+        rg, rng = reversed_graph(g), seeded(seed)
+        for _ in range(10):
+            check_pair_samplers(g, rg, rng)
 
 
 class TestKPathSampler:
