@@ -6,7 +6,7 @@ from .graph import (Graph, ShortestPathDAG, TemporalEdgeList, bfs_dag,
                     largest_component_size, load_edge_list,
                     load_temporal_edge_list, write_edge_list)
 from .samplers import (SamplerSpec, alpha, sample, sample_bwc,
-                       sample_coverage, sample_kpath, sample_rr)
+                       sample_coverage, sample_kpath, sample_many, sample_rr)
 from .maximize import (HyperEdgePool, RunResult, build_pool, equal_budget,
                        estimate_centrality, experiment_budget, greedy_cover,
                        hedge, sample_budget)

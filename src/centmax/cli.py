@@ -10,11 +10,13 @@ overflow, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
 import time
 import zlib
+from itertools import chain
 
 from . import exact, experiments, generators, maximize, samplers
 from .errors import ParseError, SizeError
@@ -49,7 +51,10 @@ def _json_dump(obj, stream):
 
 
 def _open_out(path):
-    return open(path, "w") if path and path != "-" else sys.stdout
+    """The output file, or standard output (left open) for "-"."""
+    if path and path != "-":
+        return open(path, "w")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _load_graph(args):
@@ -206,10 +211,21 @@ def cmd_attack(args):
             fh.write(f"{r},{s}\n")
 
 
+# influence method -> sampler kind of its centrality ordering
+_ORDERING_METHODS = {"betw": "betweenness", "cov": "coverage",
+                     "kpath": "kpath"}
+
+
 def cmd_influence(args):
-    g = _load_graph(args)
-    rng = random.Random(args.seed)
     methods = args.methods.split(",")
+    for method in methods:
+        if method not in ("im", "tri", *_ORDERING_METHODS):
+            raise UsageError(f"unknown influence method {method!r}")
+    g = _load_graph(args)
+    if "im" in methods:
+        maximize.check_pool_size(args.num_rr)
+    if not _ORDERING_METHODS.keys().isdisjoint(methods):
+        maximize.check_pool_size(experiments.ordering_budget(g.n, args.eps))
     seed_sets = {}
     for method in methods:
         mrng = random.Random(args.seed ^ zlib.crc32(method.encode()))
@@ -219,11 +235,8 @@ def cmd_influence(args):
         elif method == "tri":
             seed_sets[method] = exact.triangle_greedy(g, args.k)
         else:
-            kind = {"betw": "betweenness", "cov": "coverage",
-                    "kpath": "kpath"}.get(method)
-            if kind is None:
-                raise UsageError(f"unknown influence method {method!r}")
-            spec = samplers.SamplerSpec(kind, kappa=args.kappa)
+            spec = samplers.SamplerSpec(_ORDERING_METHODS[method],
+                                        kappa=args.kappa)
             ordering = experiments.centrality_ordering(g, spec, mrng,
                                                        eps=args.eps)
             seed_sets[method] = ordering[:args.k]
@@ -262,7 +275,9 @@ def cmd_sample_dump(args):
     g = _load_graph(args)
     spec = _sampler_spec(args)
     rng = random.Random(args.seed)
-    edges = (samplers.sample(g, spec, rng) for _ in range(args.count))
+    # Drawn one chunk at a time, so each chunk is written as it is drawn.
+    edges = chain.from_iterable(samplers.sample_chunks(g, spec, args.count,
+                                                       rng))
     if args.output and args.output != "-":
         samplers.dump_hyperedges(edges, args.output, labels=g.labels)
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class Graph:
     """Simple graph over dense integer ids with sorted adjacency lists."""
 
     __slots__ = ("n", "directed", "adj", "radj", "labels", "meta",
-                 "_csr", "_dag_cache")
+                 "_csr", "_rcsr", "_dag_cache")
 
     def __init__(self, n, edges, directed=False, labels=None, meta=None):
         self.n = n
@@ -46,7 +47,7 @@ class Graph:
                 out[v].add(u)
         self.adj = [sorted(s) for s in out]
         self.radj = self.adj if not directed else [sorted(s) for s in rin]
-        self._csr = None
+        self._csr = self._rcsr = None
         self._dag_cache = {}
 
     @property
@@ -71,6 +72,14 @@ class Graph:
             self._csr = _build_csr(self.adj)
         return self._csr
 
+    def rcsr(self):
+        """(indptr, indices) arrays for the in-adjacency."""
+        if not self.directed:
+            return self.csr()
+        if self._rcsr is None:
+            self._rcsr = _build_csr(self.radj)
+        return self._rcsr
+
     def weak_neighbors(self, v):
         """Neighbors ignoring direction (deduplicated, sorted)."""
         if not self.directed:
@@ -80,11 +89,8 @@ class Graph:
 
 def _build_csr(adj):
     indptr = np.zeros(len(adj) + 1, dtype=np.int64)
-    for i, a in enumerate(adj):
-        indptr[i + 1] = indptr[i] + len(a)
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for i, a in enumerate(adj):
-        indices[indptr[i]:indptr[i + 1]] = a
+    np.cumsum(np.fromiter(map(len, adj), np.int64, len(adj)), out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adj), np.int64, int(indptr[-1]))
     return indptr, indices
 
 

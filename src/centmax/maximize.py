@@ -88,13 +88,19 @@ def equal_budget(n, eps):
     return math.ceil(2.0 * math.log(2.0 * n ** 3) / (eps * eps))
 
 
-def build_pool(g, spec, q, rng):
-    """q independent hyper-edges, drawn in order from rng."""
+def check_pool_size(q):
+    """Refuse a pool size below 1 (ValueError) or above the guard
+    (SizeError) before anything is drawn."""
     if q < 1:
         raise ValueError("pool size must be positive")
     if q > _POOL_GUARD:
         raise SizeError(f"pool size {q} exceeds the guard {_POOL_GUARD}")
-    edges = [samplers.sample(g, spec, rng) for _ in range(q)]
+
+
+def build_pool(g, spec, q, rng):
+    """q independent hyper-edges, drawn in order from rng."""
+    check_pool_size(q)
+    edges = samplers.sample_many(g, spec, q, rng)
     return HyperEdgePool.from_edges(edges, g.n, samplers.alpha(spec, g))
 
 

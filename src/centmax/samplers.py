@@ -3,16 +3,24 @@
 Each sampler emits a random node set h with Pr(h intersects S) = C(S)/alpha
 for every S, where C is the centrality being estimated and alpha its
 normalizer.  Samplers are pure functions of (graph, parameters, rng) and are
-exact: path choices use integer path-count ratios, never floats.
+exact: path choices use integer path-count ratios, never floats.  RR sets
+are drawn in numpy batches from one generator seeded by rng.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .graph import INF, bfs_dag, bfs_dist_sigma, _CACHE_MAX_N
 
 KINDS = ("betweenness", "coverage", "kpath", "rr-influence")
+
+# Samples per batch of sample_chunks, and in-arcs per coin-flip draw of the
+# RR batch: they bound the transient arrays of one batch.
+_CHUNK = 1 << 16
+_ARC_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,22 @@ def sample(g, spec, rng):
     if spec.kind == "kpath":
         return sample_kpath(g, spec.kappa, rng)
     return sample_rr(g, spec.p, rng)
+
+
+def sample_chunks(g, spec, q, rng):
+    """q independent hyper-edges drawn in order from rng, yielded as lists
+    of at most _CHUNK.  RR sets come from numpy batches; every other kind
+    draws one sample() at a time."""
+    if spec.kind == "rr-influence":
+        yield from _rr_chunks(g, spec.p, q, rng)
+        return
+    for start in range(0, q, _CHUNK):
+        yield [sample(g, spec, rng) for _ in range(min(_CHUNK, q - start))]
+
+
+def sample_many(g, spec, q, rng):
+    """q independent hyper-edges drawn in order from rng, as one list."""
+    return list(chain.from_iterable(sample_chunks(g, spec, q, rng)))
 
 
 def _random_ordered_pair(n, rng):
@@ -148,20 +172,66 @@ def sample_rr(g, p, rng):
     """Reverse-reachable set of a uniform target: nodes reaching it through
     edges that are independently live with probability p.  Includes the
     target."""
+    return next(_rr_chunks(g, p, 1, rng))[0]
+
+
+def _rr_chunks(g, p, q, rng):
+    """q RR sets, in batches of _CHUNK drawn from one numpy generator that
+    rng seeds.  A singleton set is one shared frozenset per node."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability p must be in [0,1]")
     if g.n < 1:
         raise ValueError("rr sampler needs n >= 1")
-    v = rng.randrange(g.n)
-    reached = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for u in g.radj[x]:
-            if u not in reached and (p >= 1.0 or rng.random() < p):
-                reached.add(u)
-                stack.append(u)
-    return frozenset(reached)
+    gen = np.random.default_rng(rng.getrandbits(64))
+    singles = np.empty(g.n, dtype=object)
+    made = np.zeros(g.n, dtype=bool)
+    for start in range(0, q, _CHUNK):
+        samp, node = np.divmod(_rr_keys(g, p, min(_CHUNK, q - start), gen),
+                               g.n)
+        first = np.flatnonzero(np.diff(samp, prepend=-1))
+        heads = node[first]
+        new = np.flatnonzero(np.bincount(heads[~made[heads]], minlength=g.n))
+        made[new] = True
+        singles[new] = [frozenset((v,)) for v in new.tolist()]
+        out = singles[heads].tolist()
+        ends = np.append(first[1:], samp.size)
+        multi = np.flatnonzero(ends - first > 1)
+        nodes = node.tolist()
+        for i, a, b in zip(multi.tolist(), first[multi].tolist(),
+                           ends[multi].tolist()):
+            out[i] = frozenset(nodes[a:b])
+        yield out
+
+
+def _rr_keys(g, p, b, gen):
+    """Sorted keys sample * n + node of b RR sets, by one level-synchronous
+    reverse BFS over the whole batch.  Each in-arc of a reached node is
+    flipped once, live with probability p."""
+    n = g.n
+    indptr, indices = g.rcsr()
+    frontier = np.arange(b, dtype=np.int64) * n + gen.integers(n, size=b)
+    reached = frontier
+    while frontier.size:
+        samp, node = np.divmod(frontier, n)
+        stops = indptr[node + 1]
+        ends = np.cumsum(stops - indptr[node])
+        total = int(ends[-1])
+        if total == 0:
+            break
+        # Arc j of the frontier's concatenated in-arc lists is live; the
+        # draw is split in blocks, which leaves the stream unchanged.
+        live = np.concatenate([
+            lo + np.flatnonzero(gen.random(min(_ARC_BLOCK, total - lo)) < p)
+            for lo in range(0, total, _ARC_BLOCK)])
+        owner = np.searchsorted(ends, live, side="right")
+        # Arc j of frontier cell i is indices[stops[i] - ends[i] + j].
+        keys = np.unique(samp[owner] * n
+                         + indices[live + (stops - ends)[owner]])
+        pos = np.searchsorted(reached, keys)
+        fresh = reached[np.minimum(pos, reached.size - 1)] != keys
+        frontier = keys[fresh]
+        reached = np.insert(reached, pos[fresh], frontier)
+    return reached
 
 
 def dump_hyperedges(edges, path, labels=None):
@@ -170,13 +240,3 @@ def dump_hyperedges(edges, path, labels=None):
         for h in edges:
             ids = sorted(h) if labels is None else sorted(labels[v] for v in h)
             fh.write(" ".join(str(x) for x in ids) + "\n")
-
-
-def load_hyperedges(path):
-    """Inverse of dump_hyperedges (ids taken as written, no remapping)."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            out.append(frozenset(int(tok) for tok in line.split()))
-    return out

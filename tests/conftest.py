@@ -43,3 +43,34 @@ def diamond_chain_edges(count):
 
 def seeded(x=0):
     return random.Random(x)
+
+
+def load_hyperedges(path):
+    """Inverse of samplers.dump_hyperedges (ids taken as written)."""
+    with open(path) as fh:
+        return [frozenset(int(tok) for tok in line.split()) for line in fh]
+
+
+def exact_influence(g, seeds, p):
+    """Expected independent-cascade spread of seeds, summed exactly over
+    every live-edge world: each arc (both directions of an undirected
+    edge) is live independently with probability p."""
+    arcs = [(u, v) for u in range(g.n) for v in g.adj[u]]
+    assert len(arcs) <= 16, "world enumeration is exponential in arcs"
+    total = 0.0
+    for mask in range(1 << len(arcs)):
+        live = [[] for _ in range(g.n)]
+        k = 0
+        for i, (u, v) in enumerate(arcs):
+            if mask >> i & 1:
+                live[u].append(v)
+                k += 1
+        reached = set(seeds)
+        stack = list(reached)
+        while stack:
+            for v in live[stack.pop()]:
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+        total += p ** k * (1 - p) ** (len(arcs) - k) * len(reached)
+    return total

@@ -1,11 +1,13 @@
 import argparse
 import json
 import random
+import sys
 
 import pytest
 
 from centmax import experiments, samplers
 from centmax.cli import _load_graph, main
+from centmax.maximize import build_pool
 from centmax.generators import gen_kronecker, gen_ran
 from centmax.graph import write_edge_list
 from conftest import diamond_chain_edges
@@ -89,6 +91,16 @@ class TestMaximize:
         assert run(["maximize", "--input", inp, "--gen", "ran:50",
                     "--k", "1"]) == 2
         assert "not both" in capsys.readouterr().err
+
+    def test_two_runs_to_stdout_in_one_process(self, tmp_path, capsys):
+        inp = write_graph(tmp_path, P3)
+        argv = ["maximize", "--input", inp, "--k", "1",
+                "--budget", "explicit:100", "-o", "-"]
+        assert run(argv) == 0
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count('"selected": [') == 2
+        assert not sys.stdout.closed
 
     def test_oversized_pool_is_size_error(self, monkeypatch, capsys):
         monkeypatch.setattr(samplers, "sample", no_sampling)
@@ -252,6 +264,27 @@ class TestInfluence:
         assert run(["influence", "--input", inp, "--k", "1",
                     "--num-rr", "20000000"]) == 3
 
+    @pytest.mark.parametrize("methods, code", [("betw,im", 3),
+                                                ("betw,bogus", 2),
+                                                ("tri,cov,im", 3)])
+    def test_methods_and_pool_checked_before_any_method(
+            self, methods, code, monkeypatch, capsys):
+        def no_method(*args, **kwargs):
+            raise AssertionError("a method ran before the checks")
+        monkeypatch.setattr(experiments, "centrality_ordering", no_method)
+        monkeypatch.setattr(experiments, "ris_influence_max", no_method)
+        monkeypatch.setattr(samplers, "sample_chunks", no_method)
+        assert run(["influence", "--gen", "ran:50", "--k", "1",
+                    "--methods", methods, "--num-rr", "20000000"]) == code
+        err = capsys.readouterr().err
+        assert ("exceeds the guard" if code == 3 else "'bogus'") in err
+
+    def test_oversized_ordering_pool_is_size_error(self, monkeypatch):
+        monkeypatch.setattr(samplers, "sample_chunks", no_sampling)
+        assert run(["influence", "--gen", "ran:50", "--k", "1",
+                    "--methods", "im,cov", "--num-rr", "100",
+                    "--eps", "0.001"]) == 3
+
 
 class TestEvolve:
     def test_single_snapshot(self, tmp_path):
@@ -297,6 +330,23 @@ class TestSampleDump:
         assert len(lines) == 30
         nonempty = {l for l in lines if l}
         assert nonempty == {"9"}
+
+    @pytest.mark.parametrize("sampler", ["rr", "betweenness"])
+    @pytest.mark.parametrize("chunk", [7, samplers._CHUNK])
+    def test_dump_lists_the_pool(self, tmp_path, sampler, chunk,
+                                 monkeypatch):
+        monkeypatch.setattr(samplers, "_CHUNK", chunk)
+        out = tmp_path / "d.txt"
+        assert run(["sample-dump", "--gen", "ran:30", "--sampler", sampler,
+                    "--p", "0.3", "--count", "40", "--seed", "6",
+                    "-o", str(out)]) == 0
+        g = _load_graph(argparse.Namespace(gen="ran:30", seed=6))
+        spec = samplers.SamplerSpec(
+            "rr-influence" if sampler == "rr" else sampler, p=0.3)
+        pool = build_pool(g, spec, 40, random.Random(6)).edges
+        assert g.labels == list(range(g.n))
+        assert out.read_text().splitlines() == [
+            " ".join(map(str, sorted(h))) for h in pool]
 
     def test_nonpositive_count_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, "7 9\n9 20\n")

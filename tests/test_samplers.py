@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from centmax import exact, samplers
 from centmax.graph import Graph, bfs_dag
-from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges,
-                              load_hyperedges, sample, sample_bwc,
-                              sample_coverage, sample_kpath, sample_rr)
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, \
-    seeded
+from centmax.maximize import build_pool
+from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges, sample,
+                              sample_bwc, sample_coverage, sample_kpath,
+                              sample_many, sample_rr)
+from conftest import complete_graph, cycle_graph, exact_influence, \
+    load_hyperedges, path_graph, random_graph, seeded
 
 
 class TestSpecAndAlpha:
@@ -320,6 +321,99 @@ class TestRRSampler:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             sample_rr(complete_graph(3), -0.1, seeded(0))
+
+
+# Small graphs whose live-edge worlds can all be enumerated: 10 directed
+# arcs, and 6 undirected edges (12 arcs).
+RR_GRAPHS = {
+    "directed": Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                          (5, 3), (1, 4), (0, 5), (3, 1)], directed=True),
+    "undirected": Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
+                            (4, 5)]),
+}
+
+
+def reverse_reach(g, t):
+    """Every node with a directed path to t, t included."""
+    seen = {t}
+    stack = [t]
+    while stack:
+        for u in g.radj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return frozenset(seen)
+
+
+class TestRRBatch:
+    """RR sets drawn as numpy batches against the live-edge definition."""
+
+    @pytest.mark.parametrize("kind", sorted(RR_GRAPHS))
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_unbiased_against_exact_influence(self, kind, batched):
+        g, p = RR_GRAPHS[kind], 0.4
+        spec = SamplerSpec("rr-influence", p=p)
+        rng = seeded(31)
+        if batched:
+            draws = 60000
+            pool = build_pool(g, spec, draws, rng).edges
+        else:
+            draws = 15000
+            pool = [sample_rr(g, p, rng) for _ in range(draws)]
+        pick = seeded(32)
+        for size in (1, 1, 2, 2, 3):
+            S = set(pick.sample(range(g.n), size))
+            want = exact_influence(g, S, p) / g.n
+            emp = sum(1 for h in pool if h & S) / draws
+            bound = 4 * math.sqrt(want * (1 - want) / draws) + 1e-9
+            assert abs(emp - want) <= bound, (S, emp, want)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_every_set_holds_a_valid_node(self, p):
+        g = random_graph(40, 0.08, seeded(5), directed=True)
+        pool = sample_many(g, SamplerSpec("rr-influence", p=p), 3000,
+                           seeded(6))
+        assert len(pool) == 3000
+        assert all(h and all(0 <= v < g.n for v in h) for h in pool)
+        if p == 0.0:
+            assert {len(h) for h in pool} == {1}
+            assert len(set(pool)) == g.n  # every target is drawn
+
+    def test_p_one_gives_full_reverse_reachable_sets(self):
+        g = random_graph(40, 0.05, seeded(7), directed=True)
+        rr = [reverse_reach(g, t) for t in range(g.n)]
+        pool = sample_many(g, SamplerSpec("rr-influence", p=1.0), 2000,
+                           seeded(8))
+        assert all(any(h == rr[t] for t in h) for h in pool)
+        assert max(map(len, pool)) > 1
+
+    def test_same_seed_same_pool(self):
+        g = RR_GRAPHS["undirected"]
+        spec = SamplerSpec("rr-influence", p=0.5)
+        a = build_pool(g, spec, 5000, seeded(9)).edges
+        b = build_pool(g, spec, 5000, seeded(9)).edges
+        assert a == b
+        assert [sample_rr(g, 0.5, seeded(i)) for i in range(50)] == \
+            [sample_rr(g, 0.5, seeded(i)) for i in range(50)]
+
+    def test_arc_blocks_leave_the_stream_unchanged(self, monkeypatch):
+        g = random_graph(40, 0.1, seeded(10), directed=True)
+        spec = SamplerSpec("rr-influence", p=0.3)
+        whole = sample_many(g, spec, 3000, seeded(11))
+        monkeypatch.setattr(samplers, "_ARC_BLOCK", 5)
+        assert sample_many(g, spec, 3000, seeded(11)) == whole
+
+    def test_batches_of_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_CHUNK", 7)
+        g = RR_GRAPHS["directed"]
+        chunks = list(samplers.sample_chunks(
+            g, SamplerSpec("rr-influence", p=0.5), 30, seeded(12)))
+        assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
+
+    def test_singletons_are_shared(self):
+        g = Graph(5, [])
+        pool = sample_many(g, SamplerSpec("rr-influence"), 1000, seeded(13))
+        assert len({id(h) for h in pool}) == 5
 
 
 class TestDispatchAndDump:
