@@ -8,8 +8,7 @@ from .graph import (Graph, ShortestPathDAG, TemporalEdgeList, bfs_dag,
 from .samplers import (SamplerSpec, alpha, sample, sample_bwc,
                        sample_coverage, sample_kpath, sample_many, sample_rr)
 from .maximize import (HyperEdgePool, RunResult, build_pool, equal_budget,
-                       estimate_centrality, experiment_budget, greedy_cover,
-                       hedge, sample_budget)
+                       experiment_budget, greedy_cover, hedge, sample_budget)
 from .exact import (adaptive_bwc, brandes, brute_force_max, ex_greedy,
                     exact_coverage, exact_kpath, set_bwc, triangle_greedy)
 from .generators import (gen_hypercube, gen_kronecker, gen_lower_bound,

@@ -16,7 +16,6 @@ import random
 import sys
 import time
 import zlib
-from itertools import chain
 
 from . import exact, experiments, generators, maximize, samplers
 from .errors import ParseError, SizeError
@@ -276,14 +275,10 @@ def cmd_sample_dump(args):
     spec = _sampler_spec(args)
     rng = random.Random(args.seed)
     # Drawn one chunk at a time, so each chunk is written as it is drawn.
-    edges = chain.from_iterable(samplers.sample_chunks(g, spec, args.count,
-                                                       rng))
-    if args.output and args.output != "-":
-        samplers.dump_hyperedges(edges, args.output, labels=g.labels)
-    else:
-        for h in edges:
-            sys.stdout.write(" ".join(str(g.labels[v])
-                                      for v in sorted(h)) + "\n")
+    with _open_out(args.output) as fh:
+        samplers.dump_hyperedges(
+            samplers.sample_chunks(g, spec, args.count, rng), fh,
+            labels=g.labels)
 
 
 def _add_common(p, sampler=True, gen=True):

@@ -10,33 +10,69 @@ import heapq
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import samplers
 from .errors import SizeError
 
-# Largest pool build_pool draws: 10^7 frozensets already take gigabytes.
+# Largest pool build_pool draws, in hyper-edges.  Each costs 8 bytes of
+# edge_ptr plus 16 bytes per node it holds (edge_nodes and node_edges), and
+# drawing 10^7 of them takes minutes.
 _POOL_GUARD = 10 ** 7
 
 
-@dataclass
+@dataclass(eq=False)
 class HyperEdgePool:
-    """A pool of sampled hyper-edges with a node -> edge-index incidence map."""
-    edges: list                 # list of frozensets
-    incidence: dict             # node -> list of edge indices
+    """A pool of sampled hyper-edges as two CSR pairs of read-only arrays.
+
+    Hyper-edge i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]], and node v
+    lies in hyper-edges node_edges[node_ptr[v]:node_ptr[v + 1]], in
+    increasing order.
+    """
+    edge_ptr: np.ndarray
+    edge_nodes: np.ndarray
+    node_ptr: np.ndarray
+    node_edges: np.ndarray
     n: int                      # node-id space of the source graph
     alpha: float                # normalizer of the sampler that built it
 
     @classmethod
     def from_edges(cls, edges, n, alpha_value):
-        incidence = {}
-        for i, h in enumerate(edges):
-            for v in h:
-                incidence.setdefault(v, []).append(i)
-        return cls(list(edges), incidence, n, alpha_value)
+        """Index a pool given as a CSR pair (edge_ptr, edge_nodes) or as a
+        sequence of node sets."""
+        edge_ptr, edge_nodes = (edges if isinstance(edges, tuple)
+                                else samplers.pack(edges))
+        # Sorting the distinct keys node * |pool| + edge groups the edges by
+        # node, each group in increasing order.
+        size = max(edge_ptr.size - 1, 1)
+        owner = np.repeat(np.arange(edge_ptr.size - 1), np.diff(edge_ptr))
+        node_edges = np.sort(edge_nodes * size + owner) % size
+        node_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edge_nodes, minlength=n), out=node_ptr[1:])
+        arrays = (edge_ptr, edge_nodes, node_ptr, node_edges)
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays, n, alpha_value)
 
     def __len__(self):
-        return len(self.edges)
+        return self.edge_ptr.size - 1
+
+    @property
+    def edges(self):
+        """Each hyper-edge as a view of its nodes (derived; the greedy reads
+        the arrays)."""
+        ptr, nodes = self.edge_ptr.tolist(), self.edge_nodes
+        return [nodes[a:b] for a, b in zip(ptr, ptr[1:])]
+
+    @property
+    def incidence(self):
+        """node -> view of the hyper-edges that hold it, for every node in
+        at least one (derived; the greedy reads the arrays)."""
+        ptr, edges = self.node_ptr.tolist(), self.node_edges
+        return {v: edges[a:b] for v, (a, b) in enumerate(zip(ptr, ptr[1:]))
+                if a < b}
 
 
 @dataclass
@@ -112,56 +148,47 @@ def greedy_cover(pool, k):
         raise ValueError("k must be positive")
     if k > pool.n:
         raise ValueError(f"k={k} exceeds node count {pool.n}")
-    alive = [True] * len(pool.edges)
+    ptr, node_edges = pool.node_ptr.tolist(), pool.node_edges
+    alive = np.ones(len(pool), dtype=bool)
     covered = 0
     selected = []
-    chosen = set()
+    chosen = bytearray(pool.n)
+    cursor = 0  # every id below it is chosen
     marginals = []
     estimates = []
-    # (-degree, node); stale entries are re-scored on pop.
-    heap = [(-len(idxs), v) for v, idxs in pool.incidence.items()]
+    # (-degree, node), one entry per unchosen node of nonzero degree;
+    # stale entries are re-scored on pop.
+    degree = np.diff(pool.node_ptr)
+    nodes = np.flatnonzero(degree)
+    heap = list(zip((-degree[nodes]).tolist(), nodes.tolist()))
     heapq.heapify(heap)
-    total = len(pool.edges)
+    total = len(pool)
     for _ in range(k):
         pick = None
         while heap:
             negd, v = heapq.heappop(heap)
-            if v in chosen:
-                continue
             if negd == 0:
-                break  # max degree is zero; fall through to id-order picks
-            fresh = sum(1 for i in pool.incidence[v] if alive[i])
+                heap = []  # every degree is zero; take ids in order
+                break
+            fresh = int(np.count_nonzero(alive[node_edges[ptr[v]:ptr[v + 1]]]))
             if fresh != -negd:
                 heapq.heappush(heap, (-fresh, v))
                 continue
             pick = v
             break
         if pick is None:
-            # All degrees zero: take the smallest unused id.
-            pick = next(v for v in range(pool.n) if v not in chosen)
-        gained = 0
-        for i in pool.incidence.get(pick, ()):
-            if alive[i]:
-                alive[i] = False
-                gained += 1
+            while chosen[cursor]:
+                cursor += 1
+            pick = cursor
+        hit = node_edges[ptr[pick]:ptr[pick + 1]]
+        gained = int(np.count_nonzero(alive[hit]))
+        alive[hit] = False
         covered += gained
-        chosen.add(pick)
+        chosen[pick] = 1
         selected.append(pick)
         marginals.append(gained)
         estimates.append(pool.alpha * covered / total if total else 0.0)
     return RunResult(selected, marginals, estimates, total, alpha=pool.alpha)
-
-
-def estimate_centrality(pool, nodes, alpha_value=None):
-    """alpha * (fraction of pool edges hit by the node set)."""
-    if not len(pool.edges):
-        raise ValueError("empty pool")
-    a = pool.alpha if alpha_value is None else alpha_value
-    nodes = set(nodes)
-    hit = set()
-    for v in nodes:
-        hit.update(pool.incidence.get(v, ()))
-    return a * len(hit) / len(pool.edges)
 
 
 def hedge(g, spec, k, eps, ell=1, maxk_scaled=1.0, rng=None, budget=None):

@@ -5,6 +5,9 @@ for every S, where C is the centrality being estimated and alpha its
 normalizer.  Samplers are pure functions of (graph, parameters, rng) and are
 exact: path choices use integer path-count ratios, never floats.  RR sets
 are drawn in numpy batches from one generator seeded by rng.
+
+Many hyper-edges travel as one CSR pair (edge_ptr, edge_nodes): hyper-edge
+i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]].
 """
 from __future__ import annotations
 
@@ -58,19 +61,30 @@ def sample(g, spec, rng):
 
 
 def sample_chunks(g, spec, q, rng):
-    """q independent hyper-edges drawn in order from rng, yielded as lists
-    of at most _CHUNK.  RR sets come from numpy batches; every other kind
-    draws one sample() at a time."""
+    """q independent hyper-edges drawn in order from rng, yielded as CSR
+    pairs of at most _CHUNK hyper-edges.  RR sets come from numpy batches;
+    every other kind draws one sample() at a time."""
     if spec.kind == "rr-influence":
         yield from _rr_chunks(g, spec.p, q, rng)
         return
     for start in range(0, q, _CHUNK):
-        yield [sample(g, spec, rng) for _ in range(min(_CHUNK, q - start))]
+        yield pack([sample(g, spec, rng)
+                    for _ in range(min(_CHUNK, q - start))])
 
 
 def sample_many(g, spec, q, rng):
-    """q independent hyper-edges drawn in order from rng, as one list."""
-    return list(chain.from_iterable(sample_chunks(g, spec, q, rng)))
+    """q independent hyper-edges drawn in order from rng, as one CSR
+    pair."""
+    ptrs, nodes = zip(*sample_chunks(g, spec, q, rng))
+    sizes = np.concatenate([np.diff(p) for p in ptrs])
+    return np.concatenate(([0], sizes.cumsum())), np.concatenate(nodes)
+
+
+def pack(edges):
+    """The CSR pair of a sequence of node sets."""
+    ptr = np.zeros(len(edges) + 1, dtype=np.int64)
+    np.cumsum([len(h) for h in edges], out=ptr[1:])
+    return ptr, np.fromiter(chain.from_iterable(edges), np.int64, ptr[-1])
 
 
 def _random_ordered_pair(n, rng):
@@ -172,35 +186,21 @@ def sample_rr(g, p, rng):
     """Reverse-reachable set of a uniform target: nodes reaching it through
     edges that are independently live with probability p.  Includes the
     target."""
-    return next(_rr_chunks(g, p, 1, rng))[0]
+    return frozenset(next(_rr_chunks(g, p, 1, rng))[1].tolist())
 
 
 def _rr_chunks(g, p, q, rng):
-    """q RR sets, in batches of _CHUNK drawn from one numpy generator that
-    rng seeds.  A singleton set is one shared frozenset per node."""
+    """q RR sets as CSR pairs of at most _CHUNK sets (nodes in increasing
+    order within a set), drawn from one numpy generator that rng seeds."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability p must be in [0,1]")
     if g.n < 1:
         raise ValueError("rr sampler needs n >= 1")
     gen = np.random.default_rng(rng.getrandbits(64))
-    singles = np.empty(g.n, dtype=object)
-    made = np.zeros(g.n, dtype=bool)
     for start in range(0, q, _CHUNK):
-        samp, node = np.divmod(_rr_keys(g, p, min(_CHUNK, q - start), gen),
-                               g.n)
-        first = np.flatnonzero(np.diff(samp, prepend=-1))
-        heads = node[first]
-        new = np.flatnonzero(np.bincount(heads[~made[heads]], minlength=g.n))
-        made[new] = True
-        singles[new] = [frozenset((v,)) for v in new.tolist()]
-        out = singles[heads].tolist()
-        ends = np.append(first[1:], samp.size)
-        multi = np.flatnonzero(ends - first > 1)
-        nodes = node.tolist()
-        for i, a, b in zip(multi.tolist(), first[multi].tolist(),
-                           ends[multi].tolist()):
-            out[i] = frozenset(nodes[a:b])
-        yield out
+        b = min(_CHUNK, q - start)
+        samp, node = np.divmod(_rr_keys(g, p, b, gen), g.n)
+        yield np.searchsorted(samp, np.arange(b + 1)), node
 
 
 def _rr_keys(g, p, b, gen):
@@ -234,9 +234,13 @@ def _rr_keys(g, p, b, gen):
     return reached
 
 
-def dump_hyperedges(edges, path, labels=None):
-    """One line per hyper-edge: space-separated ids; empty line = empty set."""
-    with open(path, "w") as fh:
-        for h in edges:
-            ids = sorted(h) if labels is None else sorted(labels[v] for v in h)
-            fh.write(" ".join(str(x) for x in ids) + "\n")
+def dump_hyperedges(chunks, fh, labels=None):
+    """Write one line per hyper-edge of the CSR pairs in chunks: its ids,
+    or their labels, in increasing order and space-separated; an empty line
+    is an empty set."""
+    for ptr, nodes in chunks:
+        ptr, nodes = ptr.tolist(), nodes.tolist()
+        if labels is not None:
+            nodes = [labels[v] for v in nodes]
+        fh.writelines(" ".join(map(str, sorted(nodes[a:b]))) + "\n"
+                      for a, b in zip(ptr, ptr[1:]))

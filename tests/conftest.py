@@ -45,6 +45,15 @@ def seeded(x=0):
     return random.Random(x)
 
 
+def edge_sets(pool):
+    """The hyper-edges of a HyperEdgePool, or of a CSR pair (edge_ptr,
+    edge_nodes), as a list of frozensets."""
+    ptr, nodes = (pool if isinstance(pool, tuple)
+                  else (pool.edge_ptr, pool.edge_nodes))
+    ptr, nodes = ptr.tolist(), nodes.tolist()
+    return [frozenset(nodes[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
 def load_hyperedges(path):
     """Inverse of samplers.dump_hyperedges (ids taken as written)."""
     with open(path) as fh:

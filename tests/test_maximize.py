@@ -2,21 +2,36 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centmax import exact, samplers
 from centmax.errors import SizeError
 from centmax.graph import Graph
 from centmax.maximize import (HyperEdgePool, build_pool, equal_budget,
-                              estimate_centrality, experiment_budget,
-                              greedy_cover, hedge, sample_budget)
+                              experiment_budget, greedy_cover, hedge,
+                              sample_budget)
 from centmax.samplers import SamplerSpec
-from conftest import complete_graph, path_graph, random_graph, seeded
+from conftest import complete_graph, edge_sets, path_graph, random_graph, \
+    seeded
 
 
 def pool_of(edge_sets, n, alpha_value=1.0):
     return HyperEdgePool.from_edges([frozenset(h) for h in edge_sets], n,
                                     alpha_value)
+
+
+def estimate_centrality(pool, nodes, alpha_value=None):
+    """alpha * (fraction of pool edges hit by the node set)."""
+    if not len(pool):
+        raise ValueError("empty pool")
+    a = pool.alpha if alpha_value is None else alpha_value
+    hit = np.zeros(len(pool), dtype=bool)
+    for v in set(nodes):
+        hit[pool.node_edges[pool.node_ptr[v]:pool.node_ptr[v + 1]]] = True
+    return a * int(np.count_nonzero(hit)) / len(pool)
 
 
 class TestSampleBudget:
@@ -51,12 +66,12 @@ class TestBuildPool:
     def test_isolated_all_empty(self):
         g = Graph(2, [])
         pool = build_pool(g, SamplerSpec("betweenness"), 10, seeded(0))
-        assert all(h == frozenset() for h in pool.edges)
+        assert all(h == frozenset() for h in edge_sets(pool))
 
     def test_deterministic(self):
         g = random_graph(20, 0.2, seeded(1))
-        a = build_pool(g, SamplerSpec("betweenness"), 50, seeded(7)).edges
-        b = build_pool(g, SamplerSpec("betweenness"), 50, seeded(7)).edges
+        a = edge_sets(build_pool(g, SamplerSpec("betweenness"), 50, seeded(7)))
+        b = edge_sets(build_pool(g, SamplerSpec("betweenness"), 50, seeded(7)))
         assert a == b
 
     def test_oversized_pool_is_size_error(self, monkeypatch):
@@ -77,24 +92,59 @@ class TestBuildPool:
             for v in h:
                 assert i in pool.incidence[v]
 
+    @pytest.mark.parametrize("spec", [SamplerSpec("rr-influence", p=0.3),
+                                      SamplerSpec("coverage")])
+    def test_views_the_benchmark_reads(self, monkeypatch, spec):
+        # bench/layers.py times HyperEdgePool.from_edges as the index step
+        # and reads pool.edges and pool.incidence off its result.
+        calls = []
+        index = HyperEdgePool.from_edges.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return index(cls, *args)
+        monkeypatch.setattr(HyperEdgePool, "from_edges", classmethod(counted))
+        g = random_graph(30, 0.1, seeded(4), directed=True)
+        pool = build_pool(g, spec, 300, seeded(5))
+        drawn = edge_sets(samplers.sample_many(g, spec, 300, seeded(5)))
+        assert len(calls) == 1
+        assert [len(h) for h in pool.edges] == [len(h) for h in drawn]
+        assert len(pool.incidence) == len(frozenset().union(*drawn))
+        small = HyperEdgePool.from_edges([frozenset({0, 1})], 3, 1.0)
+        assert [len(h) for h in small.edges] == [2]
+        assert len(small.incidence) == 2
+
 
 def naive_greedy(pool, k):
-    alive = [True] * len(pool.edges)
+    edges = edge_sets(pool)
+    alive = [True] * len(edges)
     chosen = []
     for _ in range(k):
         best, best_deg = None, -1
         for v in range(pool.n):
             if v in chosen:
                 continue
-            deg = sum(1 for i in pool.incidence.get(v, ()) if alive[i])
+            deg = sum(1 for i, h in enumerate(edges) if alive[i] and v in h)
             if deg > best_deg:
                 best, best_deg = v, deg
         if best_deg == 0:
             best = next(v for v in range(pool.n) if v not in chosen)
-        for i in pool.incidence.get(best, ()):
-            alive[i] = False
+        for i, h in enumerate(edges):
+            if best in h:
+                alive[i] = False
         chosen.append(best)
     return chosen
+
+
+@st.composite
+def pools_and_k(draw):
+    """Node sets over n ids, drawn from a few distinct ones (so repeats and
+    tied degrees are common; the empty set may be among them), and k."""
+    n = draw(st.integers(1, 10))
+    distinct = draw(st.lists(st.frozensets(st.integers(0, n - 1)),
+                             min_size=1, max_size=6))
+    edges = draw(st.lists(st.sampled_from(distinct), max_size=25))
+    return edges, n, draw(st.integers(1, n))
 
 
 class TestGreedyCover:
@@ -129,6 +179,29 @@ class TestGreedyCover:
             pool = pool_of(edges, n)
             k = rng.randrange(1, n + 1)
             assert greedy_cover(pool, k).selected == naive_greedy(pool, k)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pools_and_k())
+    def test_matches_naive_greedy_property(self, case):
+        edges, n, k = case
+        res = greedy_cover(pool_of(edges, n, alpha_value=2.0), k)
+        assert res.selected == naive_greedy(pool_of(edges, n), k)
+        left, marginals = list(edges), []
+        for v in res.selected:
+            marginals.append(sum(1 for h in left if v in h))
+            left = [h for h in left if v not in h]
+        assert res.marginal_degrees == marginals
+        covered = len(edges) - len(left)
+        assert res.estimated_centrality[-1] == (2.0 * covered / len(edges)
+                                                if edges else 0.0)
+
+    def test_zero_degree_tail_is_linear(self):
+        # Once every degree is zero the picks are the unused ids in order;
+        # finding each must not rescan the ids already passed.
+        n = 40000
+        res = greedy_cover(pool_of([{1, 2}] * 10, n), n)
+        assert res.selected == [1, 0] + list(range(2, n))
+        assert res.marginal_degrees == [10] + [0] * (n - 1)
 
     def test_marginals_nonincreasing(self):
         rng = seeded(6)

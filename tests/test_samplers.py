@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from centmax import exact, samplers
 from centmax.graph import Graph, bfs_dag
 from centmax.maximize import build_pool
-from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges, sample,
-                              sample_bwc, sample_coverage, sample_kpath,
-                              sample_many, sample_rr)
-from conftest import complete_graph, cycle_graph, exact_influence, \
-    load_hyperedges, path_graph, random_graph, seeded
+from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges, pack,
+                              sample, sample_bwc, sample_coverage,
+                              sample_kpath, sample_many, sample_rr)
+from conftest import complete_graph, cycle_graph, edge_sets, \
+    exact_influence, load_hyperedges, path_graph, random_graph, seeded
 
 
 class TestSpecAndAlpha:
@@ -356,7 +356,7 @@ class TestRRBatch:
         rng = seeded(31)
         if batched:
             draws = 60000
-            pool = build_pool(g, spec, draws, rng).edges
+            pool = edge_sets(build_pool(g, spec, draws, rng))
         else:
             draws = 15000
             pool = [sample_rr(g, p, rng) for _ in range(draws)]
@@ -371,8 +371,8 @@ class TestRRBatch:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_every_set_holds_a_valid_node(self, p):
         g = random_graph(40, 0.08, seeded(5), directed=True)
-        pool = sample_many(g, SamplerSpec("rr-influence", p=p), 3000,
-                           seeded(6))
+        pool = edge_sets(sample_many(g, SamplerSpec("rr-influence", p=p),
+                                     3000, seeded(6)))
         assert len(pool) == 3000
         assert all(h and all(0 <= v < g.n for v in h) for h in pool)
         if p == 0.0:
@@ -382,16 +382,16 @@ class TestRRBatch:
     def test_p_one_gives_full_reverse_reachable_sets(self):
         g = random_graph(40, 0.05, seeded(7), directed=True)
         rr = [reverse_reach(g, t) for t in range(g.n)]
-        pool = sample_many(g, SamplerSpec("rr-influence", p=1.0), 2000,
-                           seeded(8))
+        pool = edge_sets(sample_many(g, SamplerSpec("rr-influence", p=1.0),
+                                     2000, seeded(8)))
         assert all(any(h == rr[t] for t in h) for h in pool)
         assert max(map(len, pool)) > 1
 
     def test_same_seed_same_pool(self):
         g = RR_GRAPHS["undirected"]
         spec = SamplerSpec("rr-influence", p=0.5)
-        a = build_pool(g, spec, 5000, seeded(9)).edges
-        b = build_pool(g, spec, 5000, seeded(9)).edges
+        a = edge_sets(build_pool(g, spec, 5000, seeded(9)))
+        b = edge_sets(build_pool(g, spec, 5000, seeded(9)))
         assert a == b
         assert [sample_rr(g, 0.5, seeded(i)) for i in range(50)] == \
             [sample_rr(g, 0.5, seeded(i)) for i in range(50)]
@@ -399,21 +399,16 @@ class TestRRBatch:
     def test_arc_blocks_leave_the_stream_unchanged(self, monkeypatch):
         g = random_graph(40, 0.1, seeded(10), directed=True)
         spec = SamplerSpec("rr-influence", p=0.3)
-        whole = sample_many(g, spec, 3000, seeded(11))
+        whole = edge_sets(sample_many(g, spec, 3000, seeded(11)))
         monkeypatch.setattr(samplers, "_ARC_BLOCK", 5)
-        assert sample_many(g, spec, 3000, seeded(11)) == whole
+        assert edge_sets(sample_many(g, spec, 3000, seeded(11))) == whole
 
     def test_batches_of_chunk_size(self, monkeypatch):
         monkeypatch.setattr(samplers, "_CHUNK", 7)
         g = RR_GRAPHS["directed"]
         chunks = list(samplers.sample_chunks(
             g, SamplerSpec("rr-influence", p=0.5), 30, seeded(12)))
-        assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
-
-    def test_singletons_are_shared(self):
-        g = Graph(5, [])
-        pool = sample_many(g, SamplerSpec("rr-influence"), 1000, seeded(13))
-        assert len({id(h) for h in pool}) == 5
+        assert [len(edge_sets(c)) for c in chunks] == [7, 7, 7, 7, 2]
 
 
 class TestDispatchAndDump:
@@ -427,7 +422,8 @@ class TestDispatchAndDump:
     def test_dump_roundtrip(self, tmp_path):
         edges = [frozenset({1, 2}), frozenset(), frozenset({0})]
         path = tmp_path / "pool.txt"
-        dump_hyperedges(edges, str(path))
+        with open(path, "w") as fh:
+            dump_hyperedges([pack(edges)], fh)
         assert load_hyperedges(str(path)) == edges
 
 
