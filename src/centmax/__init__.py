@@ -3,14 +3,14 @@ exact oracles, graph generators, and experiment drivers."""
 
 from .errors import ParseError, SizeError
 from .graph import (Graph, ShortestPathDAG, TemporalEdgeList, bfs_dag,
-                    largest_component_size, load_edge_list,
-                    load_temporal_edge_list, write_edge_list)
+                    load_edge_list, load_temporal_edge_list,
+                    write_edge_list)
 from .samplers import (SamplerSpec, alpha, sample, sample_bwc,
                        sample_coverage, sample_kpath, sample_many, sample_rr)
 from .maximize import (HyperEdgePool, RunResult, build_pool, equal_budget,
                        experiment_budget, greedy_cover, hedge, sample_budget)
-from .exact import (adaptive_bwc, brandes, brute_force_max, ex_greedy,
-                    exact_coverage, exact_kpath, set_bwc, triangle_greedy)
+from .exact import (brandes, brute_force_max, ex_greedy, exact_coverage,
+                    exact_kpath, set_bwc, triangle_greedy)
 from .generators import (gen_hypercube, gen_kronecker, gen_lower_bound,
                          gen_ran)
 from .experiments import (attack_curve, centrality_ordering, evolve,

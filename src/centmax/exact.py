@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,11 @@ _BRUTE_FORCE_GUARD = 10 ** 7
 # (source, node) arrays hold about this many cells.  Larger blocks save
 # little time on small-world graphs and raise peak memory.
 _BLOCK_CELLS = 2 ** 13
+
+# ex_greedy holds the BFS blocks (path counts and DAG arcs) of its graph
+# up to this many bytes, so every round reuses them; blocks past it are
+# swept again each round.  ran:1000 takes about 14 MB.
+_HELD_BYTES = 2 ** 25
 
 
 def brandes(g):
@@ -68,15 +74,7 @@ def set_bwc(g, nodes):
     return math.fsum(terms)
 
 
-def adaptive_bwc(g, u, nodes):
-    """Marginal betweenness of u on top of an existing set."""
-    nodes = set(nodes)
-    if u in nodes:
-        raise ValueError(f"node {u} already in the set")
-    return set_bwc(g, nodes | {u}) - set_bwc(g, nodes)
-
-
-def adaptive_bwc_all(g, nodes):
+def adaptive_bwc_all(g, nodes, blocks=None):
     """Marginal betweenness of every node on top of `nodes`, in one
     Brandes-style sweep per source (O(n(n+m)) total).
 
@@ -85,6 +83,10 @@ def adaptive_bwc_all(g, nodes):
     paths route through u.  Sources go through the sweep in blocks of
     _BLOCK_CELLS // n, as flat (source, node) cells; path counts are
     float64, and a count that overflows raises SizeError.
+
+    `blocks` holds the BFS blocks of the first sources, as `_held_blocks`
+    returns them; the sources past them are swept afresh.  Without it
+    every block is swept and dropped in turn.
     """
     n = g.n
     unblocked = np.ones(n)
@@ -93,23 +95,54 @@ def adaptive_bwc_all(g, nodes):
             raise ValueError(f"node {v} out of range")
         unblocked[v] = 0.0
     marg = np.zeros(n)
-    block = max(1, _BLOCK_CELLS // max(n, 1))
-    # A path count that overflows to inf raises SizeError in _sweep_block.
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, block):
-            marg += _sweep_block(g, np.arange(lo, min(lo + block, n)),
-                                 unblocked)
+    for block in _blocks(g, blocks or ()):
+        marg += _dependency(block, unblocked)
     return (marg * unblocked).tolist()
 
 
-def _sweep_block(g, sources, unblocked):
-    """Sum over `sources` of tau(u) * delta(u) per node u, where tau counts
-    the source-to-u shortest paths whose internal nodes are unblocked and
-    delta(u) sums, over targets t beyond u, the unblocked continuations
-    from u to t divided by sigma(t).  Endpoints are exempt from the block.
+def _blocks(g, held=()):
+    """The source blocks of g in source order: the `held` ones, then a
+    fresh `_bfs_block` for each block of sources past them."""
+    yield from held
+    n = g.n
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for lo in range(sum(len(b.origin) for b in held), n, step):
+        yield _bfs_block(g, np.arange(lo, min(lo + step, n)))
 
-    Cells are (source, node) pairs numbered i * n + node.
-    """
+
+def _held_blocks(g):
+    """The leading source blocks of g whose arrays fit in _HELD_BYTES.
+    Their cells are stored as int16 where they fit, as int32 otherwise."""
+    held, total = [], 0
+    for block in _blocks(g):
+        cell = np.int16 if block.sigma.size <= 2 ** 15 else np.int32
+        block = _Block(block.origin.astype(cell), block.sigma,
+                       [(p.astype(cell), c.astype(cell))
+                        for p, c in block.levels])
+        total += block.nbytes()
+        if total > _HELD_BYTES:
+            break
+        held.append(block)
+    return held
+
+
+class _Block(NamedTuple):
+    """Pass 1 of the sweep for a block of sources.  Cells are (source,
+    node) pairs numbered i * n + node.  `origin` holds the source cells,
+    `sigma` the shortest-path count of every cell (0 if unreached), and
+    levels[i] the DAG arcs (parent cells, child cells) into distance
+    i + 1."""
+    origin: np.ndarray
+    sigma: np.ndarray
+    levels: list
+
+    def nbytes(self):
+        return (self.origin.nbytes + self.sigma.nbytes
+                + sum(p.nbytes + c.nbytes for p, c in self.levels))
+
+
+def _bfs_block(g, sources):
+    """Level-synchronous BFS of every source in `sources` at once."""
     indptr, indices = g.csr()
     n = g.n
     size = len(sources) * n
@@ -118,32 +151,43 @@ def _sweep_block(g, sources, unblocked):
     dist[origin] = 0
     sigma = np.zeros(size)
     sigma[origin] = 1.0
-    # Pass 1: level-synchronous BFS of every source at once; levels[i]
-    # holds the DAG arcs (parent cells, child cells) into distance i + 1.
     levels = []
     frontier = origin
-    while True:
-        nodes = frontier % n
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        first = np.cumsum(counts) - counts
-        nbr = indices[np.arange(int(counts.sum()))
-                      + np.repeat(starts - first, counts)]
-        parent = np.repeat(frontier, counts)
-        child = np.repeat(frontier - nodes, counts) + nbr
-        fresh = dist[child] < 0
-        parent, child = parent[fresh], child[fresh]
-        if not child.size:
-            break
-        dist[child] = len(levels) + 1
-        np.add.at(sigma, child, sigma[parent])
-        levels.append((parent, child))
-        frontier = np.flatnonzero(dist == len(levels))
+    # A path count that overflows to inf raises SizeError below.
+    with np.errstate(over="ignore"):
+        while True:
+            nodes = frontier % n
+            starts = indptr[nodes]
+            counts = indptr[nodes + 1] - starts
+            first = np.cumsum(counts) - counts
+            nbr = indices[np.arange(int(counts.sum()))
+                          + np.repeat(starts - first, counts)]
+            parent = np.repeat(frontier, counts)
+            child = np.repeat(frontier - nodes, counts) + nbr
+            fresh = dist[child] < 0
+            parent, child = parent[fresh], child[fresh]
+            if not child.size:
+                break
+            dist[child] = len(levels) + 1
+            np.add.at(sigma, child, sigma[parent])
+            levels.append((parent, child))
+            frontier = np.flatnonzero(dist == len(levels))
     if not np.isfinite(sigma).all():
         raise SizeError("shortest-path counts overflow float64")
+    return _Block(origin, sigma, levels)
+
+
+def _dependency(block, unblocked):
+    """Passes 2 and 3 of the sweep: the sum over the block's sources of
+    tau(u) * delta(u) per node u, where tau counts the source-to-u
+    shortest paths whose internal nodes are unblocked and delta(u) sums,
+    over targets t beyond u, the unblocked continuations from u to t
+    divided by sigma(t).  Endpoints are exempt from the block."""
+    origin, sigma, levels = block
+    size = sigma.size
     # Pass 2: avoidance counts; blocked parents pass nothing on, except
     # the source itself.
-    cell_open = np.tile(unblocked, len(sources))
+    cell_open = np.tile(unblocked, len(origin))
     tau = sigma
     if not unblocked.all():
         tau = np.zeros(size)
@@ -154,7 +198,7 @@ def _sweep_block(g, sources, unblocked):
     # Pass 3: backward accumulation; a blocked child adds only itself as
     # a target.
     inv = np.zeros(size)
-    reached = dist >= 0
+    reached = sigma > 0
     inv[reached] = 1.0 / sigma[reached]
     delta = np.zeros(size)
     for parent, child in reversed(levels):
@@ -162,19 +206,26 @@ def _sweep_block(g, sources, unblocked):
         np.add.at(delta, parent, contrib)
     dep = tau * delta
     dep[origin] = 0.0
-    return dep.reshape(len(sources), n).sum(axis=0)
+    return dep.reshape(len(origin), -1).sum(axis=0)
+
+
+def _check_k(g, k):
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k={k} is not in 1..n={g.n}")
 
 
 def ex_greedy(g, k):
     """Exhaustive greedy: k rounds of exact best-marginal picks (ties to the
-    smaller id).  Returns (selected, per-round exact set betweenness)."""
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds n={g.n}")
+    smaller id).  Returns (selected, per-round exact set betweenness).
+    The BFS pass runs once: every round reuses the blocks held within
+    _HELD_BYTES."""
+    _check_k(g, k)
+    held = _held_blocks(g)
     chosen = []
     scores = []
     total = 0.0
     for _ in range(k):
-        marg = adaptive_bwc_all(g, chosen)
+        marg = adaptive_bwc_all(g, chosen, held)
         best = None
         for v in range(g.n):
             if v in chosen:
@@ -190,8 +241,7 @@ def ex_greedy(g, k):
 def brute_force_max(g, k):
     """Exact optimum over all size-k subsets.  Guarded: refuses above
     10^7 candidate subsets."""
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds n={g.n}")
+    _check_k(g, k)
     if math.comb(g.n, k) > _BRUTE_FORCE_GUARD:
         raise SizeError(f"C({g.n},{k}) subsets exceed the enumeration guard")
     best_set, best_val = None, -1.0
@@ -252,12 +302,6 @@ def exact_kpath(g, nodes, kappa):
                            for w in options)
 
     return math.fsum(walk_prob(s, {s}, kappa) for s in range(g.n))
-
-
-def triangle_count(g, nodes):
-    """Number of triangles intersecting the node set."""
-    nodes = set(nodes)
-    return sum(1 for tri in all_triangles(g) if nodes.intersection(tri))
 
 
 def triangle_greedy(g, k):

@@ -41,6 +41,28 @@ def diamond_chain_edges(count):
     return edges
 
 
+def largest_component_size(g, removed=()):
+    """Size of the largest weakly connected component after deleting nodes."""
+    removed = set(removed)
+    seen = [False] * g.n
+    best = 0
+    for start in range(g.n):
+        if seen[start] or start in removed:
+            continue
+        size = 0
+        stack = [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            size += 1
+            for w in g.weak_neighbors(v):
+                if not seen[w] and w not in removed:
+                    seen[w] = True
+                    stack.append(w)
+        best = max(best, size)
+    return best
+
+
 def seeded(x=0):
     return random.Random(x)
 

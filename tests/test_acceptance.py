@@ -11,8 +11,9 @@ import random
 import pytest
 
 from centmax import exact, experiments, generators, maximize, samplers
-from centmax.graph import Graph, bfs_dag, largest_component_size
+from centmax.graph import Graph, bfs_dag
 from centmax.samplers import SamplerSpec
+from conftest import largest_component_size
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data", "ca-GrQc.txt")
 

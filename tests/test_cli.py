@@ -135,6 +135,16 @@ class TestExact:
         rows = out.read_text().splitlines()
         assert rows[1].split(",")[1] == "1"
 
+    @pytest.mark.parametrize("mode,k", [("exgreedy", "0"), ("exgreedy", "-1"),
+                                        ("brute", "0")])
+    def test_k_below_one_is_usage_error(self, tmp_path, capsys, mode, k):
+        inp = write_graph(tmp_path, P4)
+        out = tmp_path / "g.csv"
+        assert run(["exact", "--input", inp, "--mode", mode, "--k", k,
+                    "-o", str(out)]) == 2
+        assert "k=" in capsys.readouterr().err
+        assert not out.exists() or out.read_text() == ""
+
     def test_path_count_overflow_is_size_error(self, tmp_path, capsys):
         # 1100 chained diamonds: 2^1100 shortest paths overflow float64.
         inp = write_graph(tmp_path, "".join(

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,15 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact
+from centmax import exact, generators
 from centmax.errors import SizeError
-from centmax.exact import (adaptive_bwc, adaptive_bwc_all, brandes,
-                           brute_force_max, ex_greedy, exact_coverage,
-                           exact_kpath, set_bwc, triangle_count,
+from centmax.exact import (adaptive_bwc_all, brandes, brute_force_max,
+                           ex_greedy, exact_coverage, exact_kpath, set_bwc,
                            triangle_greedy)
-from centmax.graph import INF, Graph, bfs_dag
+from centmax.graph import INF, Graph, all_triangles, bfs_dag
 from conftest import complete_graph, diamond_chain_edges, path_graph, \
     random_graph, seeded, star_graph
+
+
+def adaptive_bwc(g, u, nodes):
+    """Marginal betweenness of u on top of an existing set, from two
+    exact-integer set_bwc calls."""
+    nodes = set(nodes)
+    if u in nodes:
+        raise ValueError(f"node {u} already in the set")
+    return set_bwc(g, nodes | {u}) - set_bwc(g, nodes)
+
+
+def triangle_count(g, nodes):
+    """Number of triangles intersecting the node set."""
+    nodes = set(nodes)
+    return sum(1 for tri in all_triangles(g) if nodes.intersection(tri))
 
 
 def all_shortest_paths(g, s, t):
@@ -65,13 +80,26 @@ def graphs_with_sets(draw, min_n, max_n):
     return Graph(n, edges, directed=directed), nodes
 
 
-def sweep_with_block_cells(g, nodes, block_cells):
-    saved = exact._BLOCK_CELLS
-    exact._BLOCK_CELLS = block_cells
+@contextmanager
+def patched(**values):
+    """Set module constants of centmax.exact for the duration."""
+    saved = {name: getattr(exact, name) for name in values}
+    for name, value in values.items():
+        setattr(exact, name, value)
     try:
-        return adaptive_bwc_all(g, nodes)
+        yield
     finally:
-        exact._BLOCK_CELLS = saved
+        for name, value in saved.items():
+            setattr(exact, name, value)
+
+
+def sweep_with_block_cells(g, nodes, block_cells):
+    with patched(_BLOCK_CELLS=block_cells):
+        return adaptive_bwc_all(g, nodes)
+
+
+def held_bytes(blocks):
+    return sum(block.nbytes() for block in blocks)
 
 
 class TestSweep:
@@ -100,6 +128,49 @@ class TestSweep:
         for u in rnd.sample(range(g.n), 8):
             want = 0.0 if u in nodes else adaptive_bwc(g, u, nodes)
             assert marg[u] == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_sets(1, 16), st.integers(1, 300))
+    def test_held_blocks_match_the_stream(self, case, block_cells):
+        # Every leading part of the held blocks gives the same floats as
+        # the streamed sweep, call after call with other sets.
+        g, nodes = case
+        with patched(_BLOCK_CELLS=block_cells):
+            blocks = exact._held_blocks(g)
+            for keep in range(len(blocks) + 1):
+                for S in (nodes, set(), nodes | {g.n - 1}, nodes):
+                    assert (adaptive_bwc_all(g, S, blocks[:keep])
+                            == adaptive_bwc_all(g, S))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_with_sets(2, 16), st.integers(1, 300))
+    def test_ex_greedy_on_both_sides_of_the_held_bound(self, case,
+                                                       block_cells):
+        # Nothing held, the blocks split by the bound, and all held; every
+        # node is picked, so the held blocks serve n rounds.
+        g, _ = case
+        k = g.n
+        with patched(_BLOCK_CELLS=block_cells):
+            blocks = exact._held_blocks(g)
+            assert len(blocks) == len(list(exact._blocks(g)))
+            split = held_bytes(blocks[:len(blocks) // 2])
+            runs = []
+            for bound, count in ((0, 0), (split, len(blocks) // 2),
+                                 (exact._HELD_BYTES, len(blocks))):
+                with patched(_HELD_BYTES=bound):
+                    assert len(exact._held_blocks(g)) == count
+                    runs.append(ex_greedy(g, k))
+        assert runs[0] == runs[1] == runs[2]
+        picks, scores = runs[0]
+        for i in range(k):
+            assert scores[i] == pytest.approx(set_bwc(g, picks[:i + 1]),
+                                              abs=1e-9)
+
+    def test_held_bound_holds_ran1000_whole(self):
+        g = generators.gen_ran(1000, seeded(3))
+        held = exact._held_blocks(g)
+        assert sum(len(b.origin) for b in held) == g.n
+        assert held_bytes(held) <= exact._HELD_BYTES
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -228,6 +299,11 @@ class TestAdaptive:
 
 
 class TestExGreedy:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError):
+            ex_greedy(path_graph(5), k)
+
     def test_p5_first_pick(self):
         picks, _ = ex_greedy(path_graph(5), 1)
         assert picks == [2]
@@ -275,6 +351,11 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(SizeError):
             brute_force_max(random_graph(60, 0.1, seeded(0)), 10)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError):
+            brute_force_max(path_graph(4), k)
 
 
 def triple_loop_coverage(g, nodes):

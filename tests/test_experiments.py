@@ -7,10 +7,10 @@ from centmax import exact
 from centmax.experiments import (attack_curve, centrality_ordering, evolve,
                                  ic_spread, ordering_budget,
                                  ris_influence_max, snapshot_grid)
-from centmax.graph import Graph, TemporalEdgeList, largest_component_size
+from centmax.graph import Graph, TemporalEdgeList
 from centmax.samplers import SamplerSpec
-from conftest import complete_graph, path_graph, random_graph, seeded, \
-    star_graph
+from conftest import complete_graph, largest_component_size, path_graph, \
+    random_graph, seeded, star_graph
 
 
 class TestOrdering:

@@ -9,8 +9,8 @@ from centmax.generators import (RanState, expected_kronecker_edges,
                                 gen_hypercube, gen_kronecker,
                                 gen_lower_bound, gen_ran,
                                 kronecker_probability_matrix)
-from centmax.graph import bfs_dag, largest_component_size
-from conftest import seeded
+from centmax.graph import bfs_dag
+from conftest import largest_component_size, seeded
 
 CORE_PERIPHERY = [[0.9, 0.5], [0.5, 0.2]]
 

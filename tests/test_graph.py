@@ -5,10 +5,9 @@ import pytest
 
 from centmax.errors import ParseError
 from centmax.graph import (INF, Graph, bfs_dag, bfs_dist_sigma,
-                           largest_component_size, load_edge_list,
-                           load_temporal_edge_list)
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, \
-    seeded, star_graph
+                           load_edge_list, load_temporal_edge_list)
+from conftest import complete_graph, cycle_graph, largest_component_size, \
+    path_graph, random_graph, seeded, star_graph
 
 
 def write(tmp_path, text, name="g.txt"):
