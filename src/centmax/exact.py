@@ -40,14 +40,14 @@ def brandes(g):
 def _avoidance_counts(g, dag, blocked):
     """Per-node counts of source-to-node shortest paths whose internal
     nodes avoid `blocked` (the source itself is exempt)."""
-    s = dag.source
+    s, preds = dag.source, dag.preds
     tau = [0] * g.n
     tau[s] = 1
     for v in dag.order:
         if v == s:
             continue
         acc = 0
-        for u in dag.preds[v]:
+        for u in preds[v]:
             if u == s or u not in blocked:
                 acc += tau[u]
         tau[v] = acc

@@ -164,7 +164,10 @@ def evolve(temporal, snapshots, ks, spec, rng, eps=DEFAULT_ORDERING_EPS,
 
 
 def snapshot_grid(temporal, count):
-    """`count` equally spaced timestamp quantiles of the temporal data."""
+    """`count` equally spaced timestamp quantiles of the temporal data;
+    count must be positive."""
+    if count < 1:
+        raise ValueError("the snapshot count must be positive")
     times = [t for _, _, t in temporal.records]
     if not times:
         return []

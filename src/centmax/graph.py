@@ -8,8 +8,8 @@ parallel edges are dropped at construction.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -96,16 +96,30 @@ def _build_csr(adj):
 
 @dataclass
 class ShortestPathDAG:
-    """Per-source BFS result: hop distances, exact path counts, predecessors."""
+    """Per-source BFS result: hop distances, exact path counts, the nodes in
+    BFS order, and the predecessors on shortest paths, built on first use."""
     source: int
     dist: list            # hop distance, math.inf if unreachable
     sigma: list           # shortest-path counts (Python ints, never overflow)
-    preds: list           # predecessor tuples on shortest paths
-    order: list = field(default_factory=list)  # nodes in nondecreasing distance
+    order: list           # reached nodes in nondecreasing distance
+    adj: list = field(repr=False, compare=False)  # the graph's out-adjacency
+
+    @cached_property
+    def preds(self):
+        """preds[v]: v's predecessors, as a tuple in BFS order."""
+        dist = self.dist
+        preds = [[] for _ in dist]
+        for v in self.order:
+            dv1 = dist[v] + 1
+            for w in self.adj[v]:
+                if dist[w] == dv1:
+                    preds[w].append(v)
+        # Tuples take about half the memory of lists.
+        return list(map(tuple, preds))
 
 
 def bfs_dag(g, s):
-    """BFS shortest-path DAG from s along out-edges.
+    """Level-synchronous BFS shortest-path DAG from s along out-edges.
 
     Cached on the graph for small n; treat the result as immutable.
     """
@@ -116,25 +130,27 @@ def bfs_dag(g, s):
     adj = g.adj
     dist = [INF] * g.n
     sigma = [0] * g.n
-    preds = [[] for _ in range(g.n)]
-    order = []
     dist[s] = 0
     sigma[s] = 1
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        dv1 = dist[v] + 1
-        sv = sigma[v]
-        for w in adj[v]:
-            if dist[w] is INF:
-                dist[w] = dv1
-                queue.append(w)
-            if dist[w] == dv1:
-                sigma[w] += sv
-                preds[w].append(v)
-    # Tuples take about half the memory of the lists in a cached DAG.
-    dag = ShortestPathDAG(s, dist, sigma, list(map(tuple, preds)), order)
+    order = [s]
+    frontier = [s]
+    level = 0
+    while frontier:
+        level += 1
+        fresh = []
+        for v in frontier:
+            sv = sigma[v]
+            for w in adj[v]:
+                dw = dist[w]
+                if dw is INF:
+                    dist[w] = level
+                    sigma[w] = sv
+                    fresh.append(w)
+                elif dw == level:
+                    sigma[w] += sv
+        order += fresh
+        frontier = fresh
+    dag = ShortestPathDAG(s, dist, sigma, order, adj)
     if g.n <= _CACHE_MAX_N:
         g._dag_cache[s] = dag
     return dag

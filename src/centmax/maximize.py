@@ -133,6 +133,14 @@ def check_pool_size(q):
         raise SizeError(f"pool size {q} exceeds the guard {_POOL_GUARD}")
 
 
+def check_k(k, n):
+    """Refuse a pick count outside 1..n (ValueError)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k > n:
+        raise ValueError(f"k={k} exceeds node count {n}")
+
+
 def build_pool(g, spec, q, rng):
     """q independent hyper-edges, drawn in order from rng."""
     check_pool_size(q)
@@ -144,10 +152,7 @@ def greedy_cover(pool, k):
     """Pick k nodes by repeated max alive-degree (lazy evaluation), killing
     covered edges.  Ties break to the smaller id; once degrees hit zero the
     remaining picks are the smallest unused ids."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > pool.n:
-        raise ValueError(f"k={k} exceeds node count {pool.n}")
+    check_k(k, pool.n)
     ptr, node_edges = pool.node_ptr.tolist(), pool.node_edges
     alive = np.ones(len(pool), dtype=bool)
     covered = 0
@@ -193,7 +198,9 @@ def greedy_cover(pool, k):
 
 def hedge(g, spec, k, eps, ell=1, maxk_scaled=1.0, rng=None, budget=None):
     """Full pipeline: budget (halved eps unless given explicitly), pool,
-    greedy.  Returns a RunResult with wall time."""
+    greedy.  Returns a RunResult with wall time.  A k outside 1..n is
+    refused before anything is drawn."""
+    check_k(k, g.n)
     rng = rng if rng is not None else random.Random(0)
     if budget is None:
         budget = sample_budget(g.n, k, eps / 2.0, ell, maxk_scaled)

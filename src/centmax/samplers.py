@@ -99,9 +99,8 @@ def _pair_dag(g, rng):
     """Draw a uniformly random ordered pair (s, t) and BFS forward from s.
 
     None if t is unreachable from s or adjacent to it; otherwise
-    (t, dist, sigma, preds), where dist and sigma index by node and preds(v)
-    lists v's predecessors in the shortest-path DAG of s, for every v with
-    dist[v] <= dist[t].
+    (t, dist, sigma), where dist and sigma index by node and are exact for
+    every node v with dist[v] <= dist[t].
     """
     if g.n < 2:
         raise ValueError("pair samplers need n >= 2")
@@ -110,17 +109,20 @@ def _pair_dag(g, rng):
         return None  # t is unreachable; skip the BFS
     if g.n <= _CACHE_MAX_N:
         dag = bfs_dag(g, s)
-        dist, sigma, preds = dag.dist, dag.sigma, dag.preds.__getitem__
+        dist, sigma = dag.dist, dag.sigma
     else:
         dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
-
-        def preds(v):
-            dvm1 = dist[v] - 1
-            return [u for u in g.radj[v] if dist[u] == dvm1]
     # Unreachable reads INF from bfs_dag and -1 from bfs_dist_sigma.
     if dist[t] is INF or dist[t] <= 1:
         return None
-    return t, dist, sigma, preds
+    return t, dist, sigma
+
+
+def _preds(g, dist, v):
+    """v's predecessors in the shortest-path DAG that dist describes, in id
+    order; v must not be the source."""
+    dvm1 = dist[v] - 1
+    return [u for u in g.radj[v] if dist[u] == dvm1]
 
 
 def sample_bwc(g, rng):
@@ -129,14 +131,14 @@ def sample_bwc(g, rng):
     pair = _pair_dag(g, rng)
     if pair is None:
         return frozenset()
-    t, dist, sigma, preds = pair
+    t, dist, sigma = pair
     # Walk backward from t, picking each predecessor u with probability
     # sigma(u)/sigma(v); exact uniformity over all shortest paths.
     internal = []
     v = t
     while dist[v] > 1:
         r = rng.randrange(sigma[v])
-        for u in preds(v):
+        for u in _preds(g, dist, v):
             r -= sigma[u]
             if r < 0:
                 v = u
@@ -152,11 +154,11 @@ def sample_coverage(g, rng):
     pair = _pair_dag(g, rng)
     if pair is None:
         return frozenset()
-    t, dist, _, preds = pair
+    t, dist, _ = pair
     seen = {t}
     stack = [t]
     while stack:
-        for u in preds(stack.pop()):
+        for u in _preds(g, dist, stack.pop()):
             if u not in seen and dist[u] > 0:
                 seen.add(u)
                 stack.append(u)

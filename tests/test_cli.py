@@ -102,6 +102,13 @@ class TestMaximize:
         assert out.count('"selected": [') == 2
         assert not sys.stdout.closed
 
+    def test_k_above_n_is_refused_before_sampling(self, monkeypatch,
+                                                  capsys):
+        monkeypatch.setattr(samplers, "sample_many", no_sampling)
+        assert run(["maximize", "--gen", "ran:300", "--k", "500",
+                    "--budget", "explicit:3000"]) == 2
+        assert "k=500 exceeds node count 300" in capsys.readouterr().err
+
     def test_oversized_pool_is_size_error(self, monkeypatch, capsys):
         monkeypatch.setattr(samplers, "sample", no_sampling)
         # The theory budget here is about 1.4e10 samples.
@@ -313,6 +320,16 @@ class TestEvolve:
         assert run(["evolve", "--input", inp, "--snapshots", "5",
                     "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_snapshot_count_is_usage_error(self, tmp_path,
+                                                       capsys, count):
+        inp = write_graph(tmp_path, "0 1 5\n1 2 6\n", "t.txt")
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--input", inp, "--num-snapshots", count,
+                    "-o", str(out)]) == 2
+        assert "snapshot count must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_temporal_input(self):
         with pytest.raises(SystemExit) as exc:

@@ -68,7 +68,9 @@ def enumeration_set_bwc(g, nodes):
 
 @st.composite
 def graphs_with_sets(draw, min_n, max_n):
-    """A random graph whose last nodes may be isolated, and a node set."""
+    """A random graph on `linked` nodes plus isolated ones, with the node
+    ids shuffled so that linked nodes fall in every source block, and a
+    node set."""
     n = draw(st.integers(min_n, max_n))
     directed = draw(st.booleans())
     linked = draw(st.integers(1, n))
@@ -76,8 +78,10 @@ def graphs_with_sets(draw, min_n, max_n):
              if u != v and (directed or u < v)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=linked,
                           max_size=3 * linked) if pairs else st.just([]))
+    ids = draw(st.permutations(range(n)))
     nodes = draw(st.sets(st.integers(0, n - 1), max_size=3))
-    return Graph(n, edges, directed=directed), nodes
+    return Graph(n, [(ids[u], ids[v]) for u, v in edges],
+                 directed=directed), nodes
 
 
 @contextmanager

@@ -157,3 +157,9 @@ class TestEvolve:
         temporal = TemporalEdgeList([(0, 1, t) for t in range(100)])
         grid = snapshot_grid(temporal, 5)
         assert grid[0] == 0 and grid[-1] == 99 and len(grid) == 5
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_snapshot_grid_needs_a_positive_count(self, count):
+        temporal = TemporalEdgeList([(0, 1, t) for t in range(10)])
+        with pytest.raises(ValueError, match="snapshot count"):
+            snapshot_grid(temporal, count)

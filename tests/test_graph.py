@@ -142,6 +142,54 @@ class TestBfsDag:
                 assert sigma.tolist() == dag.sigma
 
 
+def eager_bfs_dag(g, s):
+    """Queue BFS that appends each predecessor as it is dequeued, so every
+    predecessor list is in BFS order: (dist, sigma, order, preds)."""
+    dist, sigma = [INF] * g.n, [0] * g.n
+    preds = [[] for _ in range(g.n)]
+    dist[s], sigma[s] = 0, 1
+    order, queue = [], deque([s])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in g.adj[v]:
+            if dist[w] is INF:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+            if dist[w] == dist[v] + 1:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return dist, sigma, order, [tuple(p) for p in preds]
+
+
+class TestLazyPreds:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_the_eager_bfs(self, directed):
+        rng = seeded(21 + directed)
+        for _ in range(15):
+            g = random_graph(rng.randrange(2, 50), rng.choice((0.04, 0.1,
+                                                               0.3)),
+                             rng, directed=directed)
+            for s in range(g.n):
+                dag = bfs_dag(g, s)
+                dist, sigma, order, preds = eager_bfs_dag(g, s)
+                assert (dag.dist, dag.sigma, dag.order) == (dist, sigma,
+                                                            order)
+                assert dag.preds == preds
+                rank = {v: i for i, v in enumerate(dag.order)}
+                for v in dag.order[1:]:
+                    ranks = [rank[u] for u in dag.preds[v]]
+                    assert ranks == sorted(ranks)
+                    assert dag.sigma[v] == sum(dag.sigma[u]
+                                               for u in dag.preds[v])
+
+    def test_built_once_on_first_use(self):
+        dag = bfs_dag(cycle_graph(6), 0)
+        assert "preds" not in vars(dag)
+        assert dag.preds is dag.preds
+        assert dag.preds[3] == (2, 4)
+
+
 def naive_component_count(g, removed=()):
     removed = set(removed)
     seen = set(removed)

@@ -266,6 +266,17 @@ class TestEstimate:
 
 
 class TestHedge:
+    @pytest.mark.parametrize("k,budget", [(0, 50), (-2, None), (6, 50),
+                                          (5000, None)])
+    def test_k_out_of_range_is_refused_before_sampling(self, k, budget,
+                                                        monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the k check")
+        monkeypatch.setattr(samplers, "sample_many", no_sampling)
+        with pytest.raises(ValueError, match="k must be positive|exceeds"):
+            hedge(path_graph(5), SamplerSpec("betweenness"), k, 0.3,
+                  rng=seeded(0), budget=budget)
+
     def test_complete_graph_zero(self):
         g = complete_graph(5)
         res = hedge(g, SamplerSpec("betweenness"), 2, 0.3, rng=seeded(0))

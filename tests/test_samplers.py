@@ -270,6 +270,30 @@ class TestPairCore:
         for _ in range(10):
             check_pair_samplers(g, rg, rng)
 
+    @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("case", range(20))
+    def test_both_bfs_back_ends_give_the_same_pool(self, case, directed,
+                                                   kind, monkeypatch):
+        # Sparse graphs: across the cases the pools hold unreachable and
+        # adjacent pairs as well as pairs with several shortest paths.
+        rng = seeded(case)
+        g = sparse_graph(rng.randrange(4, 40), rng.choice((1, 2, 3)), rng,
+                         directed)
+        spec = SamplerSpec(kind)
+        cached = sample_many(g, spec, 300, seeded(case))
+        assert g._dag_cache
+        calls = []
+
+        def counted(*args, real=samplers.bfs_dist_sigma, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(samplers, "bfs_dist_sigma", counted)
+        monkeypatch.setattr(samplers, "_CACHE_MAX_N", 0)
+        numpy = sample_many(g, spec, 300, seeded(case))
+        assert calls
+        assert [a.tobytes() for a in cached] == [a.tobytes() for a in numpy]
+
 
 class TestKPathSampler:
     def test_isolated_start(self):
