@@ -24,8 +24,6 @@ from .graph import (graph_from_labeled_edges, load_edge_list,
 
 DEFAULT_SEED = 20100501
 
-BUDGET_PRESETS = ("theory", "paper-exp", "equal-yalg")
-
 _BRANDES_GUARD_N = 20000
 _EXGREEDY_GUARD_N = 10000
 
@@ -221,6 +219,7 @@ def cmd_influence(args):
         if method not in ("im", "tri", *_ORDERING_METHODS):
             raise UsageError(f"unknown influence method {method!r}")
     g = _load_graph(args)
+    maximize.check_k(args.k, g.n)
     if "im" in methods:
         maximize.check_pool_size(args.num_rr)
     if not _ORDERING_METHODS.keys().isdisjoint(methods):
@@ -281,19 +280,24 @@ def cmd_sample_dump(args):
             labels=g.labels)
 
 
-def _add_common(p, sampler=True, gen=True):
+def _add_common(p, gen=True):
     p.add_argument("--input", required=not gen, help="edge-list file")
     if gen:
         p.add_argument("--gen", help="generator spec, as for generate")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", "-o", default="-")
-    if sampler:
-        p.add_argument("--sampler", default="betweenness",
-                       choices=["betweenness", "coverage", "kpath", "rr",
-                                "triangle"])
-        p.add_argument("--kappa", type=int, default=2)
-        p.add_argument("--p", type=float, default=0.01)
+
+
+_SAMPLER_KINDS = ("betweenness", "coverage", "kpath", "rr")
+
+
+def _add_sampler(p, kinds=_SAMPLER_KINDS):
+    """--kappa and --p, and --sampler if `kinds` offers any choice."""
+    if kinds:
+        p.add_argument("--sampler", default="betweenness", choices=kinds)
+    p.add_argument("--kappa", type=int, default=2)
+    p.add_argument("--p", type=float, default=0.01)
 
 
 def build_parser():
@@ -304,6 +308,7 @@ def build_parser():
 
     p = sub.add_parser("maximize", help="sample-and-greedy maximization")
     _add_common(p)
+    _add_sampler(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--ell", type=int, default=1)
@@ -313,7 +318,7 @@ def build_parser():
     p.set_defaults(func=cmd_maximize)
 
     p = sub.add_parser("exact", help="exact oracles and exhaustive greedy")
-    _add_common(p, sampler=False)
+    _add_common(p)
     p.add_argument("--mode", required=True,
                    choices=["brandes", "exgreedy", "brute"])
     p.add_argument("--k", type=int, default=1)
@@ -327,12 +332,14 @@ def build_parser():
 
     p = sub.add_parser("attack", help="removal curve of the largest component")
     _add_common(p)
+    _add_sampler(p, _SAMPLER_KINDS + ("triangle",))
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--cap", type=int, default=1000)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("influence", help="cascade spread of seed sets")
     _add_common(p)
+    _add_sampler(p, ())
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--num-rr", type=int, default=10 ** 6)
     p.add_argument("--runs", type=int, default=10000)
@@ -342,6 +349,7 @@ def build_parser():
 
     p = sub.add_parser("evolve", help="per-snapshot centrality series")
     _add_common(p, gen=False)
+    _add_sampler(p)
     p.add_argument("--snapshots", help="comma-separated timestamps")
     p.add_argument("--num-snapshots", type=int, default=10)
     p.add_argument("--k-values", default="1,50")
@@ -352,6 +360,7 @@ def build_parser():
 
     p = sub.add_parser("sample-dump", help="dump raw hyper-edges")
     _add_common(p)
+    _add_sampler(p)
     p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=cmd_sample_dump)
 

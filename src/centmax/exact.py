@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import SizeError
 from .graph import INF, all_triangles, bfs_dag
+from .maximize import check_k
 
 _BRUTE_FORCE_GUARD = 10 ** 7
 
@@ -39,18 +40,20 @@ def brandes(g):
 
 def _avoidance_counts(g, dag, blocked):
     """Per-node counts of source-to-node shortest paths whose internal
-    nodes avoid `blocked` (the source itself is exempt)."""
-    s, preds = dag.source, dag.preds
+    nodes avoid `blocked` (the source itself is exempt), in one forward
+    pass over the BFS order: the source and every unblocked node add their
+    count to each out-neighbour one level further."""
+    s, dist = dag.source, dag.dist
     tau = [0] * g.n
     tau[s] = 1
     for v in dag.order:
-        if v == s:
+        tv = tau[v]
+        if not tv or (v != s and v in blocked):
             continue
-        acc = 0
-        for u in preds[v]:
-            if u == s or u not in blocked:
-                acc += tau[u]
-        tau[v] = acc
+        dv1 = dist[v] + 1
+        for w in g.adj[v]:
+            if dist[w] == dv1:
+                tau[w] += tv
     return tau
 
 
@@ -209,17 +212,12 @@ def _dependency(block, unblocked):
     return dep.reshape(len(origin), -1).sum(axis=0)
 
 
-def _check_k(g, k):
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} is not in 1..n={g.n}")
-
-
 def ex_greedy(g, k):
     """Exhaustive greedy: k rounds of exact best-marginal picks (ties to the
     smaller id).  Returns (selected, per-round exact set betweenness).
     The BFS pass runs once: every round reuses the blocks held within
     _HELD_BYTES."""
-    _check_k(g, k)
+    check_k(k, g.n)
     held = _held_blocks(g)
     chosen = []
     scores = []
@@ -241,7 +239,7 @@ def ex_greedy(g, k):
 def brute_force_max(g, k):
     """Exact optimum over all size-k subsets.  Guarded: refuses above
     10^7 candidate subsets."""
-    _check_k(g, k)
+    check_k(k, g.n)
     if math.comb(g.n, k) > _BRUTE_FORCE_GUARD:
         raise SizeError(f"C({g.n},{k}) subsets exceed the enumeration guard")
     best_set, best_val = None, -1.0
@@ -252,19 +250,13 @@ def brute_force_max(g, k):
     return best_set, best_val
 
 
-def all_pairs_dist(g):
-    """List of per-source distance lists (hop counts, INF if unreachable)."""
-    return [bfs_dag(g, s).dist for s in range(g.n)]
-
-
-def exact_coverage(g, nodes, dist=None):
+def exact_coverage(g, nodes):
     """Ordered pairs (s,t) with some shortest path internally hitting the
     set: v is internal on a shortest s-t path iff d(s,v)+d(v,t)=d(s,t)."""
     nodes = [v for v in set(nodes)]
     if not nodes:
         return 0.0
-    if dist is None:
-        dist = all_pairs_dist(g)
+    dist = [bfs_dag(g, s).dist for s in range(g.n)]
     count = 0
     for s in range(g.n):
         ds = dist[s]

@@ -8,8 +8,7 @@ parallel edges are dropped at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -96,26 +95,12 @@ def _build_csr(adj):
 
 @dataclass
 class ShortestPathDAG:
-    """Per-source BFS result: hop distances, exact path counts, the nodes in
-    BFS order, and the predecessors on shortest paths, built on first use."""
+    """Per-source BFS result: hop distances, exact path counts, and the
+    nodes in BFS order."""
     source: int
     dist: list            # hop distance, math.inf if unreachable
     sigma: list           # shortest-path counts (Python ints, never overflow)
     order: list           # reached nodes in nondecreasing distance
-    adj: list = field(repr=False, compare=False)  # the graph's out-adjacency
-
-    @cached_property
-    def preds(self):
-        """preds[v]: v's predecessors, as a tuple in BFS order."""
-        dist = self.dist
-        preds = [[] for _ in dist]
-        for v in self.order:
-            dv1 = dist[v] + 1
-            for w in self.adj[v]:
-                if dist[w] == dv1:
-                    preds[w].append(v)
-        # Tuples take about half the memory of lists.
-        return list(map(tuple, preds))
 
 
 def bfs_dag(g, s):
@@ -150,7 +135,7 @@ def bfs_dag(g, s):
                     sigma[w] += sv
         order += fresh
         frontier = fresh
-    dag = ShortestPathDAG(s, dist, sigma, order, adj)
+    dag = ShortestPathDAG(s, dist, sigma, order)
     if g.n <= _CACHE_MAX_N:
         g._dag_cache[s] = dag
     return dag

@@ -136,7 +136,7 @@ def check_pool_size(q):
 def check_k(k, n):
     """Refuse a pick count outside 1..n (ValueError)."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ValueError(f"k must be positive, got k={k}")
     if k > n:
         raise ValueError(f"k={k} exceeds node count {n}")
 

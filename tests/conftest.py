@@ -1,6 +1,7 @@
 import random
+from collections import deque
 
-from centmax.graph import Graph
+from centmax.graph import INF, Graph
 
 
 def path_graph(n, directed=False):
@@ -39,6 +40,26 @@ def diamond_chain_edges(count):
         for side in (top + 1, top + 2):
             edges += [(top, side), (side, bottom)]
     return edges
+
+
+def eager_bfs_dag(g, s):
+    """Queue BFS that appends each predecessor as it is dequeued, so every
+    predecessor list is in BFS order: (dist, sigma, order, preds)."""
+    dist, sigma = [INF] * g.n, [0] * g.n
+    preds = [[] for _ in range(g.n)]
+    dist[s], sigma[s] = 0, 1
+    order, queue = [], deque([s])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in g.adj[v]:
+            if dist[w] is INF:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+            if dist[w] == dist[v] + 1:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return dist, sigma, order, [tuple(p) for p in preds]
 
 
 def largest_component_size(g, removed=()):

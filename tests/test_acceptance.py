@@ -13,7 +13,7 @@ import pytest
 from centmax import exact, experiments, generators, maximize, samplers
 from centmax.graph import Graph, bfs_dag
 from centmax.samplers import SamplerSpec
-from conftest import largest_component_size
+from conftest import eager_bfs_dag, largest_component_size
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data", "ca-GrQc.txt")
 
@@ -93,8 +93,8 @@ class TestCriterion1:
 
 
 def all_shortest_paths(g, s, t):
-    dag = bfs_dag(g, s)
-    if dag.dist[t] == math.inf:
+    dist, _, _, preds = eager_bfs_dag(g, s)
+    if dist[t] == math.inf:
         return []
     paths = []
 
@@ -102,7 +102,7 @@ def all_shortest_paths(g, s, t):
         if v == s:
             paths.append([s] + tail)
             return
-        for u in dag.preds[v]:
+        for u in preds[v]:
             back(u, [v] + tail)
 
     back(t, [])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from centmax import experiments, samplers
+from centmax import exact, experiments, samplers
 from centmax.cli import _load_graph, main
 from centmax.maximize import build_pool
 from centmax.generators import gen_kronecker, gen_ran
@@ -239,6 +239,14 @@ class TestAttack:
         assert rows[1] == "0,4"
         assert rows[2] == "1,2"
 
+    def test_triangle_sampler(self, tmp_path):
+        inp = write_graph(tmp_path, "0 1\n0 2\n1 2\n2 3\n")
+        out = tmp_path / "a.csv"
+        assert run(["attack", "--input", inp, "--sampler", "triangle",
+                    "--cap", "1", "-o", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["removed,lcc_size",
+                                                    "0,4", "1,3"]
+
     def test_negative_cap_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, P4)
         assert run(["attack", "--input", inp, "--cap", "-1"]) == 2
@@ -301,6 +309,44 @@ class TestInfluence:
         assert run(["influence", "--gen", "ran:50", "--k", "1",
                     "--methods", "im,cov", "--num-rr", "100",
                     "--eps", "0.001"]) == 3
+
+    @pytest.mark.parametrize("methods", ["betw", "im", "tri"])
+    @pytest.mark.parametrize("k", [-1, 0, 41])
+    def test_k_outside_1_to_n_is_refused_before_any_method(
+            self, k, methods, tmp_path, monkeypatch, capsys):
+        def no_method(*args, **kwargs):
+            raise AssertionError("a method ran before the k check")
+        monkeypatch.setattr(experiments, "centrality_ordering", no_method)
+        monkeypatch.setattr(experiments, "ris_influence_max", no_method)
+        monkeypatch.setattr(exact, "triangle_greedy", no_method)
+        out = tmp_path / "i.csv"
+        assert run(["influence", "--gen", "ran:40", "--k", str(k),
+                    "--methods", methods, "-o", str(out)]) == 2
+        assert ("k must be positive" if k < 1
+                else "k=41 exceeds node count 40") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_has_no_sampler(self, tmp_path):
+        out = tmp_path / "i.csv"
+        assert run(["influence", "--input", write_graph(tmp_path, P4),
+                    "--k", "1", "--methods", "tri", "--runs", "5",
+                    "-o", str(out)]) == 0
+        config = json.loads(out.read_text().splitlines()[0][len("# config "):])
+        assert "sampler" not in config and config["k"] == 1
+        with pytest.raises(SystemExit) as exc:
+            run(["influence", "--gen", "ran:10", "--k", "1",
+                 "--sampler", "rr"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["maximize", "--k", "1"],
+                                  ["sample-dump", "--count", "1"],
+                                  ["evolve"]])
+def test_triangle_sampler_is_offered_only_on_attack(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--sampler", "triangle"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'triangle'" in capsys.readouterr().err
 
 
 class TestEvolve:

@@ -13,8 +13,8 @@ from centmax.exact import (adaptive_bwc_all, brandes, brute_force_max,
                            ex_greedy, exact_coverage, exact_kpath, set_bwc,
                            triangle_greedy)
 from centmax.graph import INF, Graph, all_triangles, bfs_dag
-from conftest import complete_graph, diamond_chain_edges, path_graph, \
-    random_graph, seeded, star_graph
+from conftest import complete_graph, diamond_chain_edges, eager_bfs_dag, \
+    path_graph, random_graph, seeded, star_graph
 
 
 def adaptive_bwc(g, u, nodes):
@@ -33,9 +33,10 @@ def triangle_count(g, nodes):
 
 
 def all_shortest_paths(g, s, t):
-    """Explicit enumeration oracle, independent of the tau recursion."""
-    dag = bfs_dag(g, s)
-    if dag.dist[t] is INF:
+    """Explicit enumeration oracle over a test-side BFS, independent of
+    the tau recursion."""
+    dist, _, _, preds = eager_bfs_dag(g, s)
+    if dist[t] is INF:
         return []
     paths = []
 
@@ -43,7 +44,7 @@ def all_shortest_paths(g, s, t):
         if v == s:
             paths.append([s] + acc)
             return
-        for u in dag.preds[v]:
+        for u in preds[v]:
             extend(u, [v] + acc)
 
     extend(t, [])
@@ -247,12 +248,16 @@ class TestSetBwc:
             set_bwc(path_graph(3), {9})
 
     def test_matches_enumeration_oracle(self):
+        # Dense undirected graphs, then directed ones, then sparse ones
+        # with unreachable pairs.
         rng = seeded(3)
-        for _ in range(30):
-            n = rng.randrange(3, 10)
-            g = random_graph(n, 0.35, rng)
-            S = set(rng.sample(range(n), rng.randrange(1, n)))
-            assert set_bwc(g, S) == enumeration_set_bwc(g, S)
+        for directed, p in ((False, 0.35), (True, 0.35), (False, 0.12),
+                            (True, 0.12)):
+            for _ in range(30):
+                n = rng.randrange(3, 10)
+                g = random_graph(n, p, rng, directed=directed)
+                S = set(rng.sample(range(n), rng.randrange(1, n)))
+                assert set_bwc(g, S) == enumeration_set_bwc(g, S)
 
     def test_monotone_and_submodular(self):
         rng = seeded(4)

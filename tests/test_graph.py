@@ -3,11 +3,12 @@ from collections import deque
 
 import pytest
 
+from centmax import samplers
 from centmax.errors import ParseError
 from centmax.graph import (INF, Graph, bfs_dag, bfs_dist_sigma,
                            load_edge_list, load_temporal_edge_list)
-from conftest import complete_graph, cycle_graph, largest_component_size, \
-    path_graph, random_graph, seeded, star_graph
+from conftest import complete_graph, cycle_graph, eager_bfs_dag, \
+    largest_component_size, path_graph, random_graph, seeded, star_graph
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -99,15 +100,18 @@ class TestBfsDag:
             bfs_dag(path_graph(3), 5)
 
     def test_sigma_pred_identity(self):
+        # The id-order predecessor rule the pair samplers walk.
         rng = seeded(11)
-        for _ in range(20):
-            g = random_graph(rng.randrange(2, 40), 0.15, rng)
+        for i in range(20):
+            g = random_graph(rng.randrange(2, 40), 0.15, rng,
+                             directed=i % 2 == 1)
             dag = bfs_dag(g, 0)
             for v in range(g.n):
                 if v == 0 or dag.dist[v] is INF:
                     continue
-                assert dag.sigma[v] == sum(dag.sigma[u] for u in dag.preds[v])
-                for u in dag.preds[v]:
+                preds = samplers._preds(g, dag.dist, v)
+                assert dag.sigma[v] == sum(dag.sigma[u] for u in preds)
+                for u in preds:
                     assert dag.dist[u] + 1 == dag.dist[v]
 
     def test_matches_naive_bfs(self):
@@ -142,26 +146,6 @@ class TestBfsDag:
                 assert sigma.tolist() == dag.sigma
 
 
-def eager_bfs_dag(g, s):
-    """Queue BFS that appends each predecessor as it is dequeued, so every
-    predecessor list is in BFS order: (dist, sigma, order, preds)."""
-    dist, sigma = [INF] * g.n, [0] * g.n
-    preds = [[] for _ in range(g.n)]
-    dist[s], sigma[s] = 0, 1
-    order, queue = [], deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in g.adj[v]:
-            if dist[w] is INF:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return dist, sigma, order, [tuple(p) for p in preds]
-
-
 class TestLazyPreds:
     @pytest.mark.parametrize("directed", [False, True])
     def test_matches_the_eager_bfs(self, directed):
@@ -172,22 +156,9 @@ class TestLazyPreds:
                              rng, directed=directed)
             for s in range(g.n):
                 dag = bfs_dag(g, s)
-                dist, sigma, order, preds = eager_bfs_dag(g, s)
+                dist, sigma, order, _ = eager_bfs_dag(g, s)
                 assert (dag.dist, dag.sigma, dag.order) == (dist, sigma,
                                                             order)
-                assert dag.preds == preds
-                rank = {v: i for i, v in enumerate(dag.order)}
-                for v in dag.order[1:]:
-                    ranks = [rank[u] for u in dag.preds[v]]
-                    assert ranks == sorted(ranks)
-                    assert dag.sigma[v] == sum(dag.sigma[u]
-                                               for u in dag.preds[v])
-
-    def test_built_once_on_first_use(self):
-        dag = bfs_dag(cycle_graph(6), 0)
-        assert "preds" not in vars(dag)
-        assert dag.preds is dag.preds
-        assert dag.preds[3] == (2, 4)
 
 
 def naive_component_count(g, removed=()):

@@ -13,8 +13,9 @@ from centmax.maximize import build_pool
 from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges, pack,
                               sample, sample_bwc, sample_coverage,
                               sample_kpath, sample_many, sample_rr)
-from conftest import complete_graph, cycle_graph, edge_sets, \
-    exact_influence, load_hyperedges, path_graph, random_graph, seeded
+from conftest import complete_graph, cycle_graph, eager_bfs_dag, \
+    edge_sets, exact_influence, load_hyperedges, path_graph, random_graph, \
+    seeded
 
 
 class TestSpecAndAlpha:
@@ -88,11 +89,12 @@ class TestBwcSampler:
         rng = seeded(6)
         for s in range(g.n):
             dag = exact.bfs_dag(g, s)
+            preds = eager_bfs_dag(g, s)[3]
             for t in range(g.n):
                 if t == s or dag.dist[t] == math.inf or dag.dist[t] <= 1 \
                         or dag.sigma[t] < 2:
                     continue
-                paths = enumerate_paths(dag, t)
+                paths = enumerate_paths(preds, s, t)
                 assert len(paths) == dag.sigma[t]
         counts = Counter()
         draws = 60000
@@ -156,12 +158,14 @@ class TestUnreachablePairs:
             assert (len(calls) > before) == (t == 0)
 
 
-def enumerate_paths(dag, t):
-    if t == dag.source:
+def enumerate_paths(preds, s, t):
+    """Every shortest s-t path, given the predecessor lists of a BFS
+    from s."""
+    if t == s:
         return [[t]]
     out = []
-    for u in dag.preds[t]:
-        for p in enumerate_paths(dag, u):
+    for u in preds[t]:
+        for p in enumerate_paths(preds, s, u):
             out.append(p + [t])
     return out
 
