@@ -57,13 +57,19 @@ def _avoidance_counts(g, dag, blocked):
     return tau
 
 
+def _node_set(g, nodes):
+    """The distinct ids of `nodes`; ValueError if one is outside 0..n-1."""
+    nodes = set(nodes)
+    for v in nodes:
+        if not 0 <= v < g.n:
+            raise ValueError(f"node {v} out of range")
+    return nodes
+
+
 def set_bwc(g, nodes):
     """Exact betweenness of a node set: ordered pairs (s,t), fraction of
     shortest paths with an internal node in the set."""
-    blocked = set(nodes)
-    for v in blocked:
-        if not 0 <= v < g.n:
-            raise ValueError(f"node {v} out of range")
+    blocked = _node_set(g, nodes)
     if not blocked:
         return 0.0
     terms = []
@@ -93,10 +99,7 @@ def adaptive_bwc_all(g, nodes, blocks=None):
     """
     n = g.n
     unblocked = np.ones(n)
-    for v in set(nodes):
-        if not 0 <= v < n:
-            raise ValueError(f"node {v} out of range")
-        unblocked[v] = 0.0
+    unblocked[list(_node_set(g, nodes))] = 0.0
     marg = np.zeros(n)
     for block in _blocks(g, blocks or ()):
         marg += _dependency(block, unblocked)
@@ -253,7 +256,7 @@ def brute_force_max(g, k):
 def exact_coverage(g, nodes):
     """Ordered pairs (s,t) with some shortest path internally hitting the
     set: v is internal on a shortest s-t path iff d(s,v)+d(v,t)=d(s,t)."""
-    nodes = [v for v in set(nodes)]
+    nodes = list(_node_set(g, nodes))
     if not nodes:
         return 0.0
     dist = [bfs_dag(g, s).dist for s in range(g.n)]

@@ -8,8 +8,8 @@ parallel edges are dropped at construction.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -33,27 +33,19 @@ class Graph:
         self.directed = directed
         self.labels = list(labels) if labels is not None else list(range(n))
         self.meta = dict(meta) if meta else {}
-        out = [set() for _ in range(n)]
-        rin = [set() for _ in range(n)] if directed else out
-        for u, v in edges:
-            if u == v:
-                continue
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            out[u].add(v)
-            rin[v].add(u)
-            if not directed:
-                out[v].add(u)
-        self.adj = [sorted(s) for s in out]
-        self.radj = self.adj if not directed else [sorted(s) for s in rin]
-        self._csr = self._rcsr = None
+        u, v = _edge_columns(edges, n)
+        self._csr = _csr_from_keys(u * n + v if directed else
+                                   np.concatenate((u * n + v, v * n + u)), n)
+        self._rcsr = _csr_from_keys(v * n + u, n) if directed else self._csr
+        self.adj = _lists(*self._csr)
+        self.radj = _lists(*self._rcsr) if directed else self.adj
         self._dag_cache = {}
 
     @property
     def m(self):
         """Edge count: directed arcs, or undirected edges counted once."""
-        total = sum(len(a) for a in self.adj)
-        return total if self.directed else total // 2
+        arcs = int(self._csr[0][-1])
+        return arcs if self.directed else arcs // 2
 
     def degree(self, v):
         return len(self.adj[v])
@@ -67,16 +59,10 @@ class Graph:
 
     def csr(self):
         """(indptr, indices) arrays for the out-adjacency."""
-        if self._csr is None:
-            self._csr = _build_csr(self.adj)
         return self._csr
 
     def rcsr(self):
         """(indptr, indices) arrays for the in-adjacency."""
-        if not self.directed:
-            return self.csr()
-        if self._rcsr is None:
-            self._rcsr = _build_csr(self.radj)
         return self._rcsr
 
     def weak_neighbors(self, v):
@@ -86,11 +72,60 @@ class Graph:
         return sorted(set(self.adj[v]) | set(self.radj[v]))
 
 
-def _build_csr(adj):
-    indptr = np.zeros(len(adj) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adj), np.int64, len(adj)), out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), np.int64, int(indptr[-1]))
-    return indptr, indices
+def _edge_columns(edges, n):
+    """The (u, v) id columns of `edges` as int64 arrays, self-loops
+    dropped; ValueError names the first other edge outside 0..n-1."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        arr = _pairs(edges)
+    except OverflowError:
+        # An id past int64 is out of range, unless its edge is a self-loop.
+        edges = [(u, v) for u, v in edges if u != v]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}") \
+                    from None
+        arr = _pairs(edges)
+    u, v = arr[:, 0], arr[:, 1]
+    keep = u != v
+    u, v = u[keep], v[keep]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+    return u, v
+
+
+def _pairs(edges):
+    """`edges` as an (m, 2) int64 array; OverflowError past int64."""
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.shape[1:] != (2,):
+        raise ValueError("edges must be (u, v) pairs")
+    return arr
+
+
+def _distinct(values):
+    """The distinct values of a sorted array (np.unique is far slower)."""
+    if values.size == 0:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _csr_from_keys(keys, n):
+    """(indptr, indices) of the arcs with keys u * n + v, each arc once."""
+    keys = _distinct(np.sort(keys))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
+
+
+def _lists(indptr, indices):
+    """Per-node adjacency lists of a CSR pair."""
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -226,21 +261,69 @@ def _parse_int(token, path, lineno):
         raise ParseError(f"{path}:{lineno}: bad integer token {token!r}") from None
 
 
-def load_edge_list(path, directed=False):
-    """Read "u v" lines ('#' comments skipped), remap ids densely, simplify."""
-    raw = []
+def _int_columns(path, width):
+    """The first `width` integer columns of every data line, as one int64
+    array read in a single C-level pass (np.loadtxt).
+
+    Blank lines and '#' comment lines before the first data line are
+    skipped; any other '#' stays part of its line.  Returns None if the C
+    parser refuses the input (a malformed line, a comment after the first
+    data line, or a token that int() takes and it does not, such as 1_000,
+    non-ASCII digits or ids outside int64); `_int_rows` then gives the
+    exact result or ParseError.
+    """
+    with open(path) as fh:
+        skip = 0
+        for line in fh:
+            text = line.strip()
+            if text and not text.startswith("#"):
+                break
+            skip += 1
+        else:
+            return np.empty((0, width), dtype=np.int64)
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return np.loadtxt(fh, dtype=np.int64, comments=None,
+                                  skiprows=skip, usecols=range(width),
+                                  ndmin=2)
+        except (ValueError, Warning):
+            return None
+
+
+def _int_rows(path, form):
+    """The line loop: the first len(form.split()) integer tokens of every
+    data line, as tuples of Python ints; ParseError names the first bad
+    line."""
+    width = len(form.split())
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
-            if len(tokens) < 2:
-                raise ParseError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            u = _parse_int(tokens[0], path, lineno)
-            v = _parse_int(tokens[1], path, lineno)
-            raw.append((u, v))
-    return graph_from_labeled_edges(raw, directed=directed)
+            if len(tokens) < width:
+                raise ParseError(f"{path}:{lineno}: expected {form!r}, "
+                                 f"got {line!r}")
+            rows.append(tuple(_parse_int(tok, path, lineno)
+                              for tok in tokens[:width]))
+    return rows
+
+
+def load_edge_list(path, directed=False):
+    """Read "u v" lines ('#' comments skipped), remap ids densely, simplify.
+
+    One C-level parse reads the file; only input it refuses goes through
+    the line loop, which gives the same graph or the exact ParseError."""
+    cols = _int_columns(path, 2)
+    if cols is None:
+        return graph_from_labeled_edges(_int_rows(path, "u v"),
+                                        directed=directed)
+    labels = _distinct(np.sort(cols, axis=None))
+    return Graph(labels.size, np.searchsorted(labels, cols),
+                 directed=directed, labels=labels.tolist())
 
 
 def graph_from_labeled_edges(raw, directed=False, extra_nodes=()):
@@ -253,20 +336,13 @@ def graph_from_labeled_edges(raw, directed=False, extra_nodes=()):
 
 def load_temporal_edge_list(path):
     """Read "u v t" lines; returns records sorted by t (stable)."""
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) < 3:
-                raise ParseError(f"{path}:{lineno}: expected 'u v t', got {line!r}")
-            u = _parse_int(tokens[0], path, lineno)
-            v = _parse_int(tokens[1], path, lineno)
-            t = _parse_int(tokens[2], path, lineno)
-            records.append((u, v, t))
-    records.sort(key=lambda r: r[2])
+    cols = _int_columns(path, 3)
+    if cols is None:
+        records = _int_rows(path, "u v t")
+        records.sort(key=lambda r: r[2])
+    else:
+        order = np.argsort(cols[:, 2], kind="stable")
+        records = list(map(tuple, cols[order].tolist()))
     return TemporalEdgeList(records)
 
 

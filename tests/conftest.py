@@ -1,7 +1,63 @@
 import random
 from collections import deque
 
+from centmax.errors import ParseError
 from centmax.graph import INF, Graph
+
+
+def reference_adjacency(n, edges, directed=False):
+    """Set-based (adj, radj) of a simple graph: sorted lists, self-loops
+    and repeats dropped; ValueError names the first other edge outside
+    0..n-1."""
+    out = [set() for _ in range(n)]
+    rin = [set() for _ in range(n)] if directed else out
+    for u, v in edges:
+        if u == v:
+            continue
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        out[u].add(v)
+        rin[v].add(u)
+        if not directed:
+            out[v].add(u)
+    adj = [sorted(s) for s in out]
+    return adj, [sorted(s) for s in rin] if directed else adj
+
+
+def reference_rows(path, form="u v"):
+    """Line-loop reader: the first len(form.split()) int() tokens of each
+    line that is neither blank nor a '#' comment; ParseError names the
+    first bad line."""
+    width = len(form.split())
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) < width:
+                raise ParseError(f"{path}:{lineno}: expected {form!r}, "
+                                 f"got {line!r}")
+            row = []
+            for tok in tokens[:width]:
+                try:
+                    row.append(int(tok))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad integer token "
+                                     f"{tok!r}") from None
+            rows.append(tuple(row))
+    return rows
+
+
+def reference_load(path, directed=False):
+    """(labels, adj, radj) of an edge-list file by the line loop: labels
+    sorted, ids dense in label order."""
+    rows = reference_rows(path)
+    labels = sorted({x for row in rows for x in row})
+    index = {lab: i for i, lab in enumerate(labels)}
+    edges = [(index[u], index[v]) for u, v in rows]
+    return (labels, *reference_adjacency(len(labels), edges, directed))
 
 
 def path_graph(n, directed=False):

@@ -407,6 +407,11 @@ class TestCoverage:
         g = Graph(3, [(0, 1), (1, 2)], directed=True)
         assert exact_coverage(g, {1}) == 1.0
 
+    @pytest.mark.parametrize("node", [-1, 9])
+    def test_out_of_range_node(self, node):
+        with pytest.raises(ValueError, match=f"node {node} out of range"):
+            exact_coverage(path_graph(4), {node})
+
 
 class TestKPath:
     def test_all_nodes(self):
