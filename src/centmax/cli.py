@@ -19,8 +19,7 @@ import zlib
 
 from . import exact, experiments, generators, maximize, samplers
 from .errors import ParseError, SizeError
-from .graph import (graph_from_labeled_edges, load_edge_list,
-                    load_temporal_edge_list, write_edge_list)
+from .graph import load_edge_list, load_temporal_edge_list, write_edge_list
 
 DEFAULT_SEED = 20100501
 
@@ -220,6 +219,9 @@ def cmd_influence(args):
             raise UsageError(f"unknown influence method {method!r}")
     g = _load_graph(args)
     maximize.check_k(args.k, g.n)
+    samplers.check_p(args.p)
+    if args.runs < 1:
+        raise UsageError("--runs must be positive")
     if "im" in methods:
         maximize.check_pool_size(args.num_rr)
     if not _ORDERING_METHODS.keys().isdisjoint(methods):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SizeError
 from .graph import INF, all_triangles, bfs_dag
-from .maximize import check_k
+from .maximize import HyperEdgePool, check_k, greedy_cover
 
 _BRUTE_FORCE_GUARD = 10 ** 7
 
@@ -301,25 +301,10 @@ def exact_kpath(g, nodes, kappa):
 
 def triangle_greedy(g, k):
     """Greedy cover over triangles: each round picks the node incident to
-    the most not-yet-covered triangles (ties to the smaller id)."""
-    triangles = all_triangles(g)
-    incidence = {}
-    for i, tri in enumerate(triangles):
-        for v in tri:
-            incidence.setdefault(v, []).append(i)
-    alive = [True] * len(triangles)
-    chosen = []
-    chosen_set = set()
-    for _ in range(min(k, g.n)):
-        best, best_gain = None, -1
-        for v in range(g.n):
-            if v in chosen_set:
-                continue
-            gain = sum(1 for i in incidence.get(v, ()) if alive[i])
-            if gain > best_gain:
-                best, best_gain = v, gain
-        for i in incidence.get(best, ()):
-            alive[i] = False
-        chosen.append(best)
-        chosen_set.add(best)
-    return chosen
+    the most not-yet-covered triangles (ties to the smaller id); min(k, n)
+    picks."""
+    k = min(k, g.n)
+    if k < 1:
+        return []
+    pool = HyperEdgePool.from_edges(all_triangles(g), g.n, 1.0)
+    return greedy_cover(pool, k).selected

@@ -6,6 +6,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exact, maximize, samplers
 from .graph import graph_from_labeled_edges
 
@@ -93,23 +95,28 @@ def attack_curve(g, ordering, cap):
 
 def ic_spread(g, seeds, p, runs=10000, rng=None):
     """Monte Carlo mean cascade size from a seed set: each directed edge is
-    live independently with probability p, re-flipped per cascade."""
+    live independently with probability p, re-flipped per cascade.  The
+    cascades run forward through samplers._live_keys, in batches of about
+    samplers._CHUNK reached cells, from one numpy generator that rng
+    seeds."""
     if runs < 1:
         raise ValueError("runs must be positive")
+    samplers.check_p(p)
+    seeds = np.array(sorted(exact._node_set(g, seeds)), dtype=np.int64)
+    if seeds.size == 0:
+        return 0.0
     rng = rng if rng is not None else random.Random(0)
-    seeds = list(set(seeds))
-    total = 0
-    for _ in range(runs):
-        reached = set(seeds)
-        stack = list(seeds)
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v not in reached and (p >= 1.0 or rng.random() < p):
-                    reached.add(v)
-                    stack.append(v)
-        total += len(reached)
-    return total / runs
+    gen = np.random.default_rng(rng.getrandbits(64))
+    reached = done = 0
+    while done < runs:
+        # One run first; then as many runs as hold about _CHUNK reached
+        # cells at the mean cascade size so far.
+        cells = reached / done if done else samplers._CHUNK
+        b = min(max(1, int(samplers._CHUNK // cells)), runs - done)
+        keys = (np.arange(b, dtype=np.int64)[:, None] * g.n + seeds).ravel()
+        reached += samplers._live_keys(g.csr(), keys, p, gen).size
+        done += b
+    return reached / runs
 
 
 def ris_influence_max(g, k, num_rr, p, rng):

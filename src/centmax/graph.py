@@ -233,25 +233,16 @@ class TemporalEdgeList:
         return len(self.records)
 
     def snapshot_edges(self, when, mode="cumulative"):
-        """Edge set at time `when`.
+        """Edges (u, v) at time `when`, repeats kept (Graph drops them).
 
-        cumulative: every edge with t <= when (dedup).
+        cumulative: every edge with t <= when.
         exact:      edges timestamped exactly `when` (dump-per-snapshot data).
         """
         if mode == "cumulative":
-            pairs = [(u, v) for u, v, t in self.records if t <= when]
-        elif mode == "exact":
-            pairs = [(u, v) for u, v, t in self.records if t == when]
-        else:
-            raise ValueError(f"unknown snapshot mode {mode!r}")
-        seen = set()
-        out = []
-        for u, v in pairs:
-            key = (u, v)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-        return out
+            return [(u, v) for u, v, t in self.records if t <= when]
+        if mode == "exact":
+            return [(u, v) for u, v, t in self.records if t == when]
+        raise ValueError(f"unknown snapshot mode {mode!r}")
 
 
 def _parse_int(token, path, lineno):

@@ -20,8 +20,9 @@ from .graph import INF, bfs_dag, bfs_dist_sigma, _CACHE_MAX_N
 
 KINDS = ("betweenness", "coverage", "kpath", "rr-influence")
 
-# Samples per batch of sample_chunks, and in-arcs per coin-flip draw of the
-# RR batch: they bound the transient arrays of one batch.
+# Samples per batch of sample_chunks (about the reached cells per batch of
+# ic_spread), and arcs per coin-flip draw of _live_keys: they bound the
+# transient arrays of one batch.
 _CHUNK = 1 << 16
 _ARC_BLOCK = 1 << 20
 
@@ -38,8 +39,14 @@ class SamplerSpec:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.kind == "kpath" and self.kappa < 1:
             raise ValueError("kappa must be a positive integer")
-        if self.kind == "rr-influence" and not 0.0 <= self.p <= 1.0:
-            raise ValueError("edge probability p must be in [0,1]")
+        if self.kind == "rr-influence":
+            check_p(self.p)
+
+
+def check_p(p):
+    """Refuse an edge probability outside [0, 1] (ValueError)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("edge probability p must be in [0,1]")
 
 
 def alpha(spec, g):
@@ -194,40 +201,44 @@ def sample_rr(g, p, rng):
 def _rr_chunks(g, p, q, rng):
     """q RR sets as CSR pairs of at most _CHUNK sets (nodes in increasing
     order within a set), drawn from one numpy generator that rng seeds."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability p must be in [0,1]")
+    check_p(p)
     if g.n < 1:
         raise ValueError("rr sampler needs n >= 1")
     gen = np.random.default_rng(rng.getrandbits(64))
     for start in range(0, q, _CHUNK):
         b = min(_CHUNK, q - start)
-        samp, node = np.divmod(_rr_keys(g, p, b, gen), g.n)
+        targets = (np.arange(b, dtype=np.int64) * g.n
+                   + gen.integers(g.n, size=b))
+        samp, node = np.divmod(_live_keys(g.rcsr(), targets, p, gen), g.n)
         yield np.searchsorted(samp, np.arange(b + 1)), node
 
 
-def _rr_keys(g, p, b, gen):
-    """Sorted keys sample * n + node of b RR sets, by one level-synchronous
-    reverse BFS over the whole batch.  Each in-arc of a reached node is
-    flipped once, live with probability p."""
-    n = g.n
-    indptr, indices = g.rcsr()
-    frontier = np.arange(b, dtype=np.int64) * n + gen.integers(n, size=b)
-    reached = frontier
+def _live_keys(csr, start, p, gen):
+    """Sorted keys run * n + node of the nodes that a batch of live-edge
+    runs reaches from the sorted start keys, by one level-synchronous BFS
+    over the arcs of csr = (indptr, indices) on n nodes.  Each arc of a
+    reached node is flipped once, live with probability p.
+
+    Over the out-CSR a run is an independent cascade from its start nodes;
+    over the in-CSR, with one start node, it is an RR set."""
+    indptr, indices = csr
+    n = indptr.size - 1
+    frontier = reached = start
     while frontier.size:
-        samp, node = np.divmod(frontier, n)
+        run, node = np.divmod(frontier, n)
         stops = indptr[node + 1]
         ends = np.cumsum(stops - indptr[node])
         total = int(ends[-1])
         if total == 0:
             break
-        # Arc j of the frontier's concatenated in-arc lists is live; the
-        # draw is split in blocks, which leaves the stream unchanged.
+        # Arc j of the frontier's concatenated arc lists is live; the draw
+        # is split in blocks, which leaves the stream unchanged.
         live = np.concatenate([
             lo + np.flatnonzero(gen.random(min(_ARC_BLOCK, total - lo)) < p)
             for lo in range(0, total, _ARC_BLOCK)])
         owner = np.searchsorted(ends, live, side="right")
         # Arc j of frontier cell i is indices[stops[i] - ends[i] + j].
-        keys = np.unique(samp[owner] * n
+        keys = np.unique(run[owner] * n
                          + indices[live + (stops - ends)[owner]])
         pos = np.searchsorted(reached, keys)
         fresh = reached[np.minimum(pos, reached.size - 1)] != keys

@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 from centmax.errors import ParseError
-from centmax.graph import INF, Graph
+from centmax.graph import INF, Graph, all_triangles
 
 
 def reference_adjacency(n, edges, directed=False):
@@ -182,3 +182,30 @@ def exact_influence(g, seeds, p):
                     stack.append(v)
         total += p ** k * (1 - p) ** (len(arcs) - k) * len(reached)
     return total
+
+
+def reference_triangle_greedy(g, k):
+    """Eager greedy cover over all_triangles: each of min(k, n) rounds scans
+    every unchosen node for the most not-yet-covered triangles (ties to the
+    smaller id)."""
+    triangles = all_triangles(g)
+    incidence = {}
+    for i, tri in enumerate(triangles):
+        for v in tri:
+            incidence.setdefault(v, []).append(i)
+    alive = [True] * len(triangles)
+    chosen = []
+    chosen_set = set()
+    for _ in range(min(k, g.n)):
+        best, best_gain = None, -1
+        for v in range(g.n):
+            if v in chosen_set:
+                continue
+            gain = sum(1 for i in incidence.get(v, ()) if alive[i])
+            if gain > best_gain:
+                best, best_gain = v, gain
+        for i in incidence.get(best, ()):
+            alive[i] = False
+        chosen.append(best)
+        chosen_set.add(best)
+    return chosen

@@ -263,6 +263,13 @@ class TestAttack:
         assert run(["attack", "--input", inp, "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
 
+    def test_triangle_on_an_empty_graph(self, tmp_path):
+        inp = write_graph(tmp_path, "", "empty.txt")
+        out = tmp_path / "a.csv"
+        assert run(["attack", "--input", inp, "--sampler", "triangle",
+                    "--cap", "5", "-o", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["removed,lcc_size", "0,0"]
+
 
 class TestInfluence:
     def test_p_zero_spread_equals_k(self, tmp_path):
@@ -326,6 +333,37 @@ class TestInfluence:
                 else "k=41 exceeds node count 40") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods", ["betw", "im", "tri"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--p", "1.5", "p must be in [0,1]"),
+        ("--p", "-0.5", "p must be in [0,1]"),
+        ("--p", "nan", "p must be in [0,1]"),
+        ("--runs", "0", "--runs must be positive"),
+        ("--runs", "-2", "--runs must be positive")])
+    def test_bad_p_or_runs_is_refused_before_any_method(
+            self, flag, value, message, methods, tmp_path, monkeypatch,
+            capsys):
+        def no_method(*args, **kwargs):
+            raise AssertionError("a method ran before the checks")
+        monkeypatch.setattr(experiments, "centrality_ordering", no_method)
+        monkeypatch.setattr(experiments, "ris_influence_max", no_method)
+        monkeypatch.setattr(exact, "triangle_greedy", no_method)
+        out = tmp_path / "i.csv"
+        assert run(["influence", "--gen", "ran:40", "--k", "2",
+                    "--methods", methods, flag, value, "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_same_flags_same_output(self, tmp_path):
+        argv = ["influence", "--gen", "ran:60", "--k", "3", "--p", "0.2",
+                "--num-rr", "500", "--runs", "300", "--methods", "im,tri"]
+        out = tmp_path / "i.csv"
+        texts = []
+        for _ in range(2):
+            assert run(argv + ["-o", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
     def test_config_has_no_sampler(self, tmp_path):
         out = tmp_path / "i.csv"
         assert run(["influence", "--input", write_graph(tmp_path, P4),
@@ -376,6 +414,25 @@ class TestEvolve:
                     "-o", str(out)]) == 2
         assert "snapshot count must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_repeated_and_reversed_edges(self, tmp_path, directed):
+        # Graph drops repeats (and, undirected, reversals), so the rows
+        # equal those of the file without them.
+        plain = [(0, 1, 1), (1, 2, 2), (2, 3, 2), (3, 0, 3), (1, 3, 4)]
+        extra = [(1, 0, 2), (0, 1, 3), (2, 3, 4), (3, 2, 4)]
+        kept = plain + ([(u, v, t) for u, v, t in extra if (u, v) not in
+                         {(a, b) for a, b, _ in plain}] if directed else [])
+        rows = []
+        for name, recs in (("a.txt", plain + extra), ("b.txt", kept)):
+            text = "".join(f"{u} {v} {t}\n" for u, v, t in recs)
+            out = tmp_path / (name + ".csv")
+            assert run(["evolve", "--input", write_graph(tmp_path, text, name),
+                        "--snapshots", "2,3,4", "--k-values", "1,2"]
+                       + (["--directed"] if directed else [])
+                       + ["-o", str(out)]) == 0
+            rows.append(out.read_text().splitlines()[1:])
+        assert rows[0] == rows[1] and len(rows[0]) == 7
 
     def test_needs_temporal_input(self):
         with pytest.raises(SystemExit) as exc:

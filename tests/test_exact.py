@@ -14,7 +14,7 @@ from centmax.exact import (adaptive_bwc_all, brandes, brute_force_max,
                            triangle_greedy)
 from centmax.graph import INF, Graph, all_triangles, bfs_dag
 from conftest import complete_graph, diamond_chain_edges, eager_bfs_dag, \
-    path_graph, random_graph, seeded, star_graph
+    path_graph, random_graph, reference_triangle_greedy, seeded, star_graph
 
 
 def adaptive_bwc(g, u, nodes):
@@ -471,3 +471,11 @@ class TestTriangleGreedy:
         covered = [triangle_count(g, set(picks[:i + 1])) for i in range(3)]
         gains = [covered[0], covered[1] - covered[0], covered[2] - covered[1]]
         assert all(a >= b for a, b in zip(gains, gains[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 29), st.floats(0.0, 0.8), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_matches_the_eager_reference(self, n, density, directed, rnd):
+        g = random_graph(n, density, rnd, directed=directed)
+        for k in (-1, 0, 1, n // 2, n, n + 3):
+            assert triangle_greedy(g, k) == reference_triangle_greedy(g, k)

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from centmax import exact
+from centmax import exact, samplers
 from centmax.experiments import (attack_curve, centrality_ordering, evolve,
                                  ic_spread, ordering_budget,
                                  ris_influence_max, snapshot_grid)
-from centmax.graph import Graph, TemporalEdgeList
+from centmax.graph import Graph, TemporalEdgeList, bfs_dag
 from centmax.samplers import SamplerSpec
-from conftest import complete_graph, largest_component_size, path_graph, \
-    random_graph, seeded, star_graph
+from conftest import complete_graph, exact_influence, \
+    largest_component_size, path_graph, random_graph, seeded, star_graph
 
 
 class TestOrdering:
@@ -93,6 +93,91 @@ class TestIcSpread:
     def test_seed_dedup(self):
         g = complete_graph(3)
         assert ic_spread(g, [1, 1], 0.0, runs=10, rng=seeded(3)) == 1.0
+
+
+def live_edge_cases():
+    """(graph, seeds) with at most 16 arcs, so exact_influence can
+    enumerate every live-edge world; directed and undirected."""
+    rng = seeded(41)
+    cases = []
+    while len(cases) < 8:
+        directed = len(cases) % 2 == 1
+        n = rng.randrange(4, 8)
+        g = random_graph(n, 0.5 if directed else 0.6, rng, directed=directed)
+        arcs = sum(len(a) for a in g.adj)
+        if 6 <= arcs <= 16:
+            cases.append((g, rng.sample(range(n), 1 + len(cases) % 3)))
+    return cases
+
+
+class TestLiveEdgeCascades:
+    """ic_spread runs samplers._live_keys forward over the out-CSR."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    @pytest.mark.parametrize("case", live_edge_cases())
+    def test_mean_within_4_sigma_of_the_exact_spread(self, case, p):
+        g, seeds = case
+        runs = 20000
+        est = ic_spread(g, seeds, p, runs=runs, rng=seeded(7))
+        # A cascade size lies in [|seeds|, n], so its variance is at most
+        # (n - |seeds|)^2 / 4.
+        sigma = (g.n - len(seeds)) / 2 / math.sqrt(runs)
+        assert abs(est - exact_influence(g, seeds, p)) <= 4 * sigma
+
+    def test_same_seed_same_spread(self):
+        g = random_graph(40, 0.08, seeded(5), directed=True)
+        a = ic_spread(g, [0, 7, 9], 0.4, runs=3000, rng=seeded(8))
+        assert a == ic_spread(g, [0, 7, 9], 0.4, runs=3000, rng=seeded(8))
+        assert a != ic_spread(g, [0, 7, 9], 0.4, runs=3000, rng=seeded(9))
+
+    @pytest.mark.parametrize("per, batches", [(1, [1] * 7), (2, [1, 2, 2, 2]),
+                                              (None, [1, 6])])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_p_zero_and_one_exact_at_every_batch_size(
+            self, per, batches, directed, monkeypatch):
+        g = random_graph(30, 0.06, seeded(6), directed=directed)
+        seeds = [2, 11, 23]
+        reach = set()
+        for s in seeds:
+            dag = bfs_dag(g, s)
+            reach |= {v for v in range(g.n) if dag.dist[v] < math.inf}
+        live_keys, runs_per_batch = samplers._live_keys, []
+
+        def spy(csr, start, p, gen):
+            runs_per_batch.append(start.size // len(seeds))
+            return live_keys(csr, start, p, gen)
+        monkeypatch.setattr(samplers, "_live_keys", spy)
+        for p, cells in ((0.0, len(seeds)), (1.0, len(reach))):
+            if per is not None:
+                # After one run, a batch holds _CHUNK // cells runs.
+                monkeypatch.setattr(samplers, "_CHUNK", per * cells)
+            runs_per_batch.clear()
+            assert ic_spread(g, seeds, p, runs=7, rng=seeded(1)) == cells
+            assert runs_per_batch == batches
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_arc_block_leaves_the_spread_unchanged(self, block, monkeypatch):
+        g = random_graph(40, 0.1, seeded(4))
+        want = ic_spread(g, [1, 5], 0.3, runs=500, rng=seeded(3))
+        monkeypatch.setattr(samplers, "_ARC_BLOCK", block)
+        assert ic_spread(g, [1, 5], 0.3, runs=500, rng=seeded(3)) == want
+
+    def test_empty_seeds_spread_nothing(self):
+        assert ic_spread(complete_graph(4), [], 0.5, rng=seeded(0)) == 0.0
+
+    @pytest.mark.parametrize("seeds", [[-3], [3], [0, 5]])
+    def test_seed_out_of_range_is_refused(self, seeds):
+        with pytest.raises(ValueError, match=f"node {seeds[-1]} out of range"):
+            ic_spread(path_graph(3), seeds, 1.0, runs=5, rng=seeded(0))
+
+    @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
+    def test_p_outside_0_to_1_is_refused(self, p):
+        with pytest.raises(ValueError, match=r"p must be in \[0,1\]"):
+            ic_spread(path_graph(3), [0], p, runs=5, rng=seeded(0))
+
+    def test_nonpositive_runs_is_refused(self):
+        with pytest.raises(ValueError, match="runs must be positive"):
+            ic_spread(path_graph(3), [0], 0.5, runs=0, rng=seeded(0))
 
 
 class TestRisInfluenceMax:
