@@ -17,33 +17,50 @@ import numpy as np
 from . import samplers
 from .errors import SizeError
 
-# Largest pool build_pool draws, in hyper-edges.  Each costs 8 bytes of
-# edge_ptr plus 16 bytes per node it holds (edge_nodes and node_edges), and
-# drawing 10^7 of them takes minutes.
+# Largest pool build_pool draws, in hyper-edges; drawing 10^7 of them takes
+# minutes.  The pool only counts its one-node and empty hyper-edges, in 8
+# bytes per node; every other one costs 8 bytes of edge_ptr plus 16 bytes
+# per node it holds (edge_nodes and node_edges).
 _POOL_GUARD = 10 ** 7
 
 
 @dataclass(eq=False)
 class HyperEdgePool:
-    """A pool of sampled hyper-edges as two CSR pairs of read-only arrays.
+    """A pool of sampled hyper-edges, as counts and read-only arrays.
 
-    Hyper-edge i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]], and node v
-    lies in hyper-edges node_edges[node_ptr[v]:node_ptr[v + 1]], in
-    increasing order.
+    A one-node hyper-edge is covered exactly when its node is picked, so
+    node v's one-node hyper-edges are only counted, in singles[v], and the
+    empty ones in empties.  The hyper-edges of two or more nodes are two CSR
+    pairs: hyper-edge i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]], and
+    node v lies in hyper-edges node_edges[node_ptr[v]:node_ptr[v + 1]], in
+    increasing order.  Draw order is not kept.
     """
     edge_ptr: np.ndarray
     edge_nodes: np.ndarray
     node_ptr: np.ndarray
     node_edges: np.ndarray
+    singles: np.ndarray
+    empties: int
     n: int                      # node-id space of the source graph
     alpha: float                # normalizer of the sampler that built it
 
     @classmethod
-    def from_edges(cls, edges, n, alpha_value):
+    def from_edges(cls, edges, n, alpha_value, singles=None, empties=0):
         """Index a pool given as a CSR pair (edge_ptr, edge_nodes) or as a
-        sequence of node sets."""
-        edge_ptr, edge_nodes = (edges if isinstance(edges, tuple)
-                                else samplers.pack(edges))
+        sequence of node sets, plus singles[v] more hyper-edges {v} for
+        each node v and `empties` more empty ones.  ValueError if a node is
+        outside 0..n-1."""
+        ptr, nodes = (edges if isinstance(edges, tuple)
+                      else samplers.pack(edges))
+        bad = nodes[(nodes < 0) | (nodes >= n)]
+        if bad.size:
+            raise ValueError(f"node {bad[0]} out of range")
+        split = samplers.split(ptr, nodes)
+        edge_ptr, edge_nodes = split.ptr, split.nodes
+        counts, more = split.counts(n)
+        if singles is not None:
+            counts += singles
+        empties += more
         # Sorting the distinct keys node * |pool| + edge groups the edges by
         # node, each group in increasing order.
         size = max(edge_ptr.size - 1, 1)
@@ -51,28 +68,38 @@ class HyperEdgePool:
         node_edges = np.sort(edge_nodes * size + owner) % size
         node_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(edge_nodes, minlength=n), out=node_ptr[1:])
-        arrays = (edge_ptr, edge_nodes, node_ptr, node_edges)
+        arrays = (edge_ptr, edge_nodes, node_ptr, node_edges, counts)
         for a in arrays:
             a.flags.writeable = False
-        return cls(*arrays, n, alpha_value)
+        return cls(*arrays, empties, n, alpha_value)
 
     def __len__(self):
-        return self.edge_ptr.size - 1
+        return self.edge_ptr.size - 1 + int(self.singles.sum()) + self.empties
 
     @property
     def edges(self):
-        """Each hyper-edge as a view of its nodes (derived; the greedy reads
-        the arrays)."""
-        ptr, nodes = self.edge_ptr.tolist(), self.edge_nodes
+        """Each hyper-edge as an array of its nodes: the CSR ones in draw
+        order, then the one-node ones by node, then the empty ones (derived;
+        the greedy reads the arrays)."""
+        ones = np.repeat(np.arange(self.n), self.singles)
+        nodes = np.concatenate((self.edge_nodes, ones))
+        ptr = np.concatenate((self.edge_ptr,
+                              self.edge_ptr[-1] + np.arange(1, ones.size + 1),
+                              np.full(self.empties, nodes.size))).tolist()
         return [nodes[a:b] for a, b in zip(ptr, ptr[1:])]
 
     @property
     def incidence(self):
-        """node -> view of the hyper-edges that hold it, for every node in
-        at least one (derived; the greedy reads the arrays)."""
+        """node -> array of the hyper-edges that hold it, numbered as in
+        edges, for every node in at least one (derived; the greedy reads the
+        arrays)."""
         ptr, edges = self.node_ptr.tolist(), self.node_edges
-        return {v: edges[a:b] for v, (a, b) in enumerate(zip(ptr, ptr[1:]))
-                if a < b}
+        first = self.edge_ptr.size - 1 + np.cumsum(self.singles) - self.singles
+        return {v: np.concatenate((edges[a:b],
+                                   np.arange(first[v], first[v] + c)))
+                for v, (a, b, c) in enumerate(zip(ptr, ptr[1:],
+                                                  self.singles.tolist()))
+                if a < b or c}
 
 
 @dataclass
@@ -142,10 +169,19 @@ def check_k(k, n):
 
 
 def build_pool(g, spec, q, rng):
-    """q independent hyper-edges, drawn in order from rng."""
+    """The pool of q independent hyper-edges drawn in order from rng.  The
+    one-node and empty ones are counted chunk by chunk, as they are drawn."""
     check_pool_size(q)
-    edges = samplers.sample_many(g, spec, q, rng)
-    return HyperEdgePool.from_edges(edges, g.n, samplers.alpha(spec, g))
+    singles = np.zeros(g.n, dtype=np.int64)
+    empties = 0
+    multi = []
+    for chunk in samplers.split_chunks(g, spec, q, rng):
+        ones, none = chunk.counts(g.n)
+        singles += ones
+        empties += none
+        multi.append((chunk.ptr, chunk.nodes))
+    return HyperEdgePool.from_edges(samplers.concat(multi), g.n,
+                                    samplers.alpha(spec, g), singles, empties)
 
 
 def greedy_cover(pool, k):
@@ -154,16 +190,18 @@ def greedy_cover(pool, k):
     remaining picks are the smallest unused ids."""
     check_k(k, pool.n)
     ptr, node_edges = pool.node_ptr.tolist(), pool.node_edges
-    alive = np.ones(len(pool), dtype=bool)
+    alive = np.ones(pool.edge_ptr.size - 1, dtype=bool)
     covered = 0
     selected = []
     chosen = bytearray(pool.n)
     cursor = 0  # every id below it is chosen
     marginals = []
     estimates = []
+    singles = pool.singles.tolist()
     # (-degree, node), one entry per unchosen node of nonzero degree;
-    # stale entries are re-scored on pop.
-    degree = np.diff(pool.node_ptr)
+    # stale entries are re-scored on pop.  A node's degree is its one-node
+    # hyper-edges plus its alive CSR ones.
+    degree = np.diff(pool.node_ptr) + pool.singles
     nodes = np.flatnonzero(degree)
     heap = list(zip((-degree[nodes]).tolist(), nodes.tolist()))
     heapq.heapify(heap)
@@ -175,7 +213,8 @@ def greedy_cover(pool, k):
             if negd == 0:
                 heap = []  # every degree is zero; take ids in order
                 break
-            fresh = int(np.count_nonzero(alive[node_edges[ptr[v]:ptr[v + 1]]]))
+            fresh = singles[v] + int(np.count_nonzero(
+                alive[node_edges[ptr[v]:ptr[v + 1]]]))
             if fresh != -negd:
                 heapq.heappush(heap, (-fresh, v))
                 continue
@@ -186,7 +225,7 @@ def greedy_cover(pool, k):
                 cursor += 1
             pick = cursor
         hit = node_edges[ptr[pick]:ptr[pick + 1]]
-        gained = int(np.count_nonzero(alive[hit]))
+        gained = singles[pick] + int(np.count_nonzero(alive[hit]))
         alive[hit] = False
         covered += gained
         chosen[pick] = 1

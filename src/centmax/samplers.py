@@ -7,12 +7,15 @@ exact: path choices use integer path-count ratios, never floats.  RR sets
 are drawn in numpy batches from one generator seeded by rng.
 
 Many hyper-edges travel as one CSR pair (edge_ptr, edge_nodes): hyper-edge
-i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]].
+i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]].  On their way to a pool
+they travel as Split chunks, which keep the one-node hyper-edges out of the
+CSR pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,22 +72,25 @@ def sample(g, spec, rng):
 
 def sample_chunks(g, spec, q, rng):
     """q independent hyper-edges drawn in order from rng, yielded as CSR
-    pairs of at most _CHUNK hyper-edges.  RR sets come from numpy batches;
-    every other kind draws one sample() at a time."""
+    pairs of at most _CHUNK hyper-edges."""
+    return map(expand, split_chunks(g, spec, q, rng))
+
+
+def split_chunks(g, spec, q, rng):
+    """The draws of sample_chunks as Split chunks.  RR sets come from numpy
+    batches; every other kind draws one sample() at a time."""
     if spec.kind == "rr-influence":
         yield from _rr_chunks(g, spec.p, q, rng)
         return
     for start in range(0, q, _CHUNK):
-        yield pack([sample(g, spec, rng)
-                    for _ in range(min(_CHUNK, q - start))])
+        yield split(*pack([sample(g, spec, rng)
+                           for _ in range(min(_CHUNK, q - start))]))
 
 
 def sample_many(g, spec, q, rng):
     """q independent hyper-edges drawn in order from rng, as one CSR
     pair."""
-    ptrs, nodes = zip(*sample_chunks(g, spec, q, rng))
-    sizes = np.concatenate([np.diff(p) for p in ptrs])
-    return np.concatenate(([0], sizes.cumsum())), np.concatenate(nodes)
+    return concat(sample_chunks(g, spec, q, rng))
 
 
 def pack(edges):
@@ -92,6 +98,58 @@ def pack(edges):
     ptr = np.zeros(len(edges) + 1, dtype=np.int64)
     np.cumsum([len(h) for h in edges], out=ptr[1:])
     return ptr, np.fromiter(chain.from_iterable(edges), np.int64, ptr[-1])
+
+
+def concat(pairs):
+    """One CSR pair of the hyper-edges of the CSR pairs, in order."""
+    sizes, nodes = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)]
+    for ptr, chunk in pairs:
+        sizes.append(np.diff(ptr))
+        nodes.append(chunk)
+    return np.concatenate(sizes).cumsum(), np.concatenate(nodes)
+
+
+class Split(NamedTuple):
+    """Consecutive draws with the one-node hyper-edges kept out of the CSR
+    pair: draw i is {single[i]} if single[i] >= 0; rows lists in increasing
+    order the draws of two or more nodes, whose node sets are the CSR pair
+    (ptr, nodes); every other draw is empty."""
+    single: np.ndarray
+    rows: np.ndarray
+    ptr: np.ndarray
+    nodes: np.ndarray
+
+    def counts(self, n):
+        """(number of one-node draws {v} for each node v < n, number of
+        empty draws)."""
+        one = self.single[self.single >= 0]
+        return (np.bincount(one, minlength=n),
+                self.single.size - one.size - self.rows.size)
+
+
+def split(ptr, nodes):
+    """The Split of the draws in a CSR pair."""
+    sizes = np.diff(ptr)
+    single = np.full(sizes.size, -1, dtype=np.int64)
+    one = sizes == 1
+    single[one] = nodes[ptr[:-1][one]]
+    rows = np.flatnonzero(sizes > 1)
+    multi_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(sizes[rows], out=multi_ptr[1:])
+    return Split(single, rows, multi_ptr, nodes[np.repeat(sizes > 1, sizes)])
+
+
+def expand(chunk):
+    """The CSR pair of the draws of a Split, in draw order."""
+    single, rows, ptr, nodes = chunk
+    sizes = (single >= 0).astype(np.int64)
+    sizes[rows] = np.diff(ptr)
+    out_ptr = np.zeros(single.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out_ptr[1:])
+    out = np.repeat(single, sizes)
+    out[np.repeat(out_ptr[rows] - ptr[:-1], np.diff(ptr))
+        + np.arange(nodes.size)] = nodes
+    return out_ptr, out
 
 
 def _random_ordered_pair(n, rng):
@@ -195,51 +253,73 @@ def sample_rr(g, p, rng):
     """Reverse-reachable set of a uniform target: nodes reaching it through
     edges that are independently live with probability p.  Includes the
     target."""
-    return frozenset(next(_rr_chunks(g, p, 1, rng))[1].tolist())
+    return frozenset(expand(next(_rr_chunks(g, p, 1, rng)))[1].tolist())
 
 
 def _rr_chunks(g, p, q, rng):
-    """q RR sets as CSR pairs of at most _CHUNK sets (nodes in increasing
+    """q RR sets as Split chunks of at most _CHUNK sets (nodes in increasing
     order within a set), drawn from one numpy generator that rng seeds."""
     check_p(p)
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise ValueError("rr sampler needs n >= 1")
+    rcsr = g.rcsr()
     gen = np.random.default_rng(rng.getrandbits(64))
     for start in range(0, q, _CHUNK):
         b = min(_CHUNK, q - start)
-        targets = (np.arange(b, dtype=np.int64) * g.n
-                   + gen.integers(g.n, size=b))
-        samp, node = np.divmod(_live_keys(g.rcsr(), targets, p, gen), g.n)
-        yield np.searchsorted(samp, np.arange(b + 1)), node
+        target = gen.integers(n, size=b)
+        # The first level of every set at once: a set whose target has no
+        # live in-arc is the target alone, and only the others go on.  A
+        # Graph has no self-loops, so every head found here is new.
+        run, node = np.divmod(
+            _live_step(rcsr, np.arange(b, dtype=np.int64) * n + target, p,
+                       gen), n)
+        rows, rank = np.unique(run, return_inverse=True)
+        frontier = rank * n + node
+        reached = np.union1d(np.arange(rows.size) * n + target[rows],
+                             frontier)
+        samp, nodes = np.divmod(_live_keys(rcsr, reached, p, gen, frontier),
+                                n)
+        single = target.copy()
+        single[rows] = -1
+        ptr = np.searchsorted(samp, np.arange(rows.size + 1))
+        yield Split(single, rows, ptr, nodes)
 
 
-def _live_keys(csr, start, p, gen):
+def _live_step(csr, frontier, p, gen):
+    """Sorted distinct keys run * n + node of the heads of the live arcs of
+    csr = (indptr, indices) on n nodes out of the sorted frontier keys.  Each
+    arc is flipped once, live with probability p, in frontier then arc
+    order."""
+    indptr, indices = csr
+    n = indptr.size - 1
+    run, node = np.divmod(frontier, n)
+    stops = indptr[node + 1]
+    ends = np.cumsum(stops - indptr[node])
+    total = int(ends[-1])
+    if total == 0:
+        return frontier[:0]
+    # Arc j of the frontier's concatenated arc lists is live; the draw is
+    # split in blocks, which leaves the stream unchanged.
+    live = np.concatenate([
+        lo + np.flatnonzero(gen.random(min(_ARC_BLOCK, total - lo)) < p)
+        for lo in range(0, total, _ARC_BLOCK)])
+    owner = np.searchsorted(ends, live, side="right")
+    # Arc j of frontier cell i is indices[stops[i] - ends[i] + j].
+    return np.unique(run[owner] * n + indices[live + (stops - ends)[owner]])
+
+
+def _live_keys(csr, reached, p, gen, frontier=None):
     """Sorted keys run * n + node of the nodes that a batch of live-edge
-    runs reaches from the sorted start keys, by one level-synchronous BFS
-    over the arcs of csr = (indptr, indices) on n nodes.  Each arc of a
-    reached node is flipped once, live with probability p.
+    runs reaches from the sorted keys `reached`, by one level-synchronous
+    BFS over the arcs of csr (see _live_step).  The BFS expands `frontier`
+    first, a subset of `reached` that defaults to all of it.
 
     Over the out-CSR a run is an independent cascade from its start nodes;
     over the in-CSR, with one start node, it is an RR set."""
-    indptr, indices = csr
-    n = indptr.size - 1
-    frontier = reached = start
+    frontier = reached if frontier is None else frontier
     while frontier.size:
-        run, node = np.divmod(frontier, n)
-        stops = indptr[node + 1]
-        ends = np.cumsum(stops - indptr[node])
-        total = int(ends[-1])
-        if total == 0:
-            break
-        # Arc j of the frontier's concatenated arc lists is live; the draw
-        # is split in blocks, which leaves the stream unchanged.
-        live = np.concatenate([
-            lo + np.flatnonzero(gen.random(min(_ARC_BLOCK, total - lo)) < p)
-            for lo in range(0, total, _ARC_BLOCK)])
-        owner = np.searchsorted(ends, live, side="right")
-        # Arc j of frontier cell i is indices[stops[i] - ends[i] + j].
-        keys = np.unique(run[owner] * n
-                         + indices[live + (stops - ends)[owner]])
+        keys = _live_step(csr, frontier, p, gen)
         pos = np.searchsorted(reached, keys)
         fresh = reached[np.minimum(pos, reached.size - 1)] != keys
         frontier = keys[fresh]

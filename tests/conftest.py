@@ -1,6 +1,8 @@
 import random
 from collections import deque
 
+import numpy as np
+
 from centmax.errors import ParseError
 from centmax.graph import INF, Graph, all_triangles
 
@@ -145,12 +147,79 @@ def seeded(x=0):
 
 
 def edge_sets(pool):
-    """The hyper-edges of a HyperEdgePool, or of a CSR pair (edge_ptr,
-    edge_nodes), as a list of frozensets."""
-    ptr, nodes = (pool if isinstance(pool, tuple)
-                  else (pool.edge_ptr, pool.edge_nodes))
-    ptr, nodes = ptr.tolist(), nodes.tolist()
+    """The hyper-edges of a CSR pair (edge_ptr, edge_nodes), in order, or
+    of a HyperEdgePool, in the order of its derived view pool.edges (the
+    pool keeps no draw order), as a list of frozensets."""
+    if not isinstance(pool, tuple):
+        return [frozenset(h.tolist()) for h in pool.edges]
+    ptr, nodes = pool[0].tolist(), pool[1].tolist()
     return [frozenset(nodes[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+def naive_cover(edges, n, k, alpha_value=1.0):
+    """(selected, marginals, estimates) of eager greedy cover over a list of
+    node sets: each round picks the unchosen node in the most uncovered
+    sets, ties to the smaller id; estimates are alpha * covered/|edges|."""
+    alive = [set(h) for h in edges]
+    selected, marginals, estimates = [], [], []
+    covered = 0
+    for _ in range(k):
+        best, best_deg = None, -1
+        for v in range(n):
+            if v in selected:
+                continue
+            deg = sum(1 for h in alive if v in h)
+            if deg > best_deg:
+                best, best_deg = v, deg
+        alive = [h for h in alive if best not in h]
+        covered += best_deg
+        selected.append(best)
+        marginals.append(best_deg)
+        estimates.append(alpha_value * covered / len(edges) if edges else 0.0)
+    return selected, marginals, estimates
+
+
+def reference_rr_many(g, p, q, rng, chunk):
+    """q RR sets as one draw-ordered CSR pair, drawn in batches of at most
+    `chunk` sets: every target's key enters one level-synchronous BFS over
+    the in-CSR, arcs flipped in key then arc order from one numpy generator
+    that rng seeds."""
+    gen = np.random.default_rng(rng.getrandbits(64))
+    sizes, nodes = [], []
+    for start in range(0, q, chunk):
+        b = min(chunk, q - start)
+        targets = (np.arange(b, dtype=np.int64) * g.n
+                   + gen.integers(g.n, size=b))
+        samp, node = np.divmod(reference_live_keys(g.rcsr(), targets, p, gen),
+                               g.n)
+        sizes.append(np.diff(np.searchsorted(samp, np.arange(b + 1))))
+        nodes.append(node)
+    return (np.concatenate(([0], np.concatenate(sizes).cumsum())),
+            np.concatenate(nodes))
+
+
+def reference_live_keys(csr, start, p, gen):
+    """Sorted keys run * n + node reached from the sorted start keys by a
+    level-synchronous live-edge BFS over csr = (indptr, indices)."""
+    indptr, indices = csr
+    n = indptr.size - 1
+    frontier = reached = start
+    while frontier.size:
+        run, node = np.divmod(frontier, n)
+        stops = indptr[node + 1]
+        ends = np.cumsum(stops - indptr[node])
+        total = int(ends[-1])
+        if total == 0:
+            break
+        live = np.flatnonzero(gen.random(total) < p)
+        owner = np.searchsorted(ends, live, side="right")
+        keys = np.unique(run[owner] * n
+                         + indices[live + (stops - ends)[owner]])
+        pos = np.searchsorted(reached, keys)
+        fresh = reached[np.minimum(pos, reached.size - 1)] != keys
+        frontier = keys[fresh]
+        reached = np.insert(reached, pos[fresh], frontier)
+    return reached
 
 
 def load_hyperedges(path):

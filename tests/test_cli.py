@@ -2,6 +2,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from centmax.cli import _load_graph, main
 from centmax.maximize import build_pool
 from centmax.generators import gen_kronecker, gen_ran
 from centmax.graph import write_edge_list
-from conftest import diamond_chain_edges
+from conftest import diamond_chain_edges, edge_sets
 
 
 def run(argv, capsys=None):
@@ -104,7 +105,7 @@ class TestMaximize:
 
     def test_k_above_n_is_refused_before_sampling(self, monkeypatch,
                                                   capsys):
-        monkeypatch.setattr(samplers, "sample_many", no_sampling)
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
         assert run(["maximize", "--gen", "ran:300", "--k", "500",
                     "--budget", "explicit:3000"]) == 2
         assert "k=500 exceeds node count 300" in capsys.readouterr().err
@@ -305,14 +306,14 @@ class TestInfluence:
             raise AssertionError("a method ran before the checks")
         monkeypatch.setattr(experiments, "centrality_ordering", no_method)
         monkeypatch.setattr(experiments, "ris_influence_max", no_method)
-        monkeypatch.setattr(samplers, "sample_chunks", no_method)
+        monkeypatch.setattr(samplers, "split_chunks", no_method)
         assert run(["influence", "--gen", "ran:50", "--k", "1",
                     "--methods", methods, "--num-rr", "20000000"]) == code
         err = capsys.readouterr().err
         assert ("exceeds the guard" if code == 3 else "'bogus'") in err
 
     def test_oversized_ordering_pool_is_size_error(self, monkeypatch):
-        monkeypatch.setattr(samplers, "sample_chunks", no_sampling)
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
         assert run(["influence", "--gen", "ran:50", "--k", "1",
                     "--methods", "im,cov", "--num-rr", "100",
                     "--eps", "0.001"]) == 3
@@ -473,10 +474,14 @@ class TestSampleDump:
         g = _load_graph(argparse.Namespace(gen="ran:30", seed=6))
         spec = samplers.SamplerSpec(
             "rr-influence" if sampler == "rr" else sampler, p=0.3)
+        drawn = samplers.sample_many(g, spec, 40, random.Random(6))
         pool = build_pool(g, spec, 40, random.Random(6)).edges
         assert g.labels == list(range(g.n))
-        assert out.read_text().splitlines() == [
-            " ".join(map(str, sorted(h))) for h in pool]
+        lines = out.read_text().splitlines()
+        assert lines == [" ".join(map(str, sorted(h)))
+                         for h in edge_sets(drawn)]
+        assert Counter(lines) == Counter(
+            " ".join(map(str, sorted(h.tolist()))) for h in pool)
 
     def test_nonpositive_count_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, "7 9\n9 20\n")

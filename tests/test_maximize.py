@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -14,8 +15,8 @@ from centmax.maximize import (HyperEdgePool, build_pool, equal_budget,
                               experiment_budget, greedy_cover, hedge,
                               sample_budget)
 from centmax.samplers import SamplerSpec
-from conftest import complete_graph, edge_sets, path_graph, random_graph, \
-    seeded
+from conftest import complete_graph, edge_sets, naive_cover, path_graph, \
+    random_graph, seeded
 
 
 def pool_of(edge_sets, n, alpha_value=1.0):
@@ -29,8 +30,9 @@ def estimate_centrality(pool, nodes, alpha_value=None):
         raise ValueError("empty pool")
     a = pool.alpha if alpha_value is None else alpha_value
     hit = np.zeros(len(pool), dtype=bool)
+    incidence = pool.incidence
     for v in set(nodes):
-        hit[pool.node_edges[pool.node_ptr[v]:pool.node_ptr[v + 1]]] = True
+        hit[incidence.get(v, [])] = True
     return a * int(np.count_nonzero(hit)) / len(pool)
 
 
@@ -108,11 +110,43 @@ class TestBuildPool:
         pool = build_pool(g, spec, 300, seeded(5))
         drawn = edge_sets(samplers.sample_many(g, spec, 300, seeded(5)))
         assert len(calls) == 1
-        assert [len(h) for h in pool.edges] == [len(h) for h in drawn]
+        assert Counter(len(h) for h in pool.edges) == \
+            Counter(len(h) for h in drawn)
+        assert Counter(edge_sets(pool)) == Counter(drawn)
         assert len(pool.incidence) == len(frozenset().union(*drawn))
         small = HyperEdgePool.from_edges([frozenset({0, 1})], 3, 1.0)
         assert [len(h) for h in small.edges] == [2]
         assert len(small.incidence) == 2
+
+    @pytest.mark.parametrize("kind", ["rr-influence", "kpath", "betweenness"])
+    def test_only_sets_of_two_or_more_nodes_are_stored(self, kind):
+        g = random_graph(30, 0.1, seeded(4), directed=True)
+        spec = SamplerSpec(kind, p=0.05)
+        pool = build_pool(g, spec, 400, seeded(6))
+        drawn = edge_sets(samplers.sample_many(g, spec, 400, seeded(6)))
+        assert len(pool) == 400
+        assert np.diff(pool.edge_ptr).min(initial=2) >= 2
+        assert pool.edge_ptr.size - 1 == sum(1 for h in drawn if len(h) > 1)
+        assert pool.singles.tolist() == np.bincount(
+            [v for h in drawn if len(h) == 1 for v in h],
+            minlength=g.n).tolist()
+        assert pool.empties == drawn.count(frozenset())
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_node_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            HyperEdgePool.from_edges([{bad}], 3, 1.0)
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            HyperEdgePool.from_edges([{0, 1}, {bad, 0}], 3, 1.0)
+        csr = (np.array([0, 2, 3]), np.array([0, 1, bad]))
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            HyperEdgePool.from_edges(csr, 3, 1.0)
+
+    def test_names_the_node(self):
+        with pytest.raises(ValueError, match="node 5 out of range"):
+            HyperEdgePool.from_edges([{5}], 3, 1.0)
 
 
 def naive_greedy(pool, k):
@@ -145,6 +179,21 @@ def pools_and_k(draw):
                              min_size=1, max_size=6))
     edges = draw(st.lists(st.sampled_from(distinct), max_size=25))
     return edges, n, draw(st.integers(1, n))
+
+
+@st.composite
+def compact_pools(draw):
+    """Draws over n ids from a few distinct node sets, mixing empty,
+    one-node and larger sets (so every kind repeats), a k, and a cut."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    kinds = [st.just(frozenset()), node.map(lambda v: frozenset({v}))]
+    if n > 1:
+        kinds.append(st.frozensets(node, min_size=2, max_size=6))
+    distinct = draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+    edges = draw(st.lists(st.sampled_from(distinct), max_size=40))
+    return edges, n, draw(st.integers(1, n)), draw(
+        st.integers(0, len(edges)))
 
 
 class TestGreedyCover:
@@ -194,6 +243,25 @@ class TestGreedyCover:
         covered = len(edges) - len(left)
         assert res.estimated_centrality[-1] == (2.0 * covered / len(edges)
                                                 if edges else 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(compact_pools())
+    def test_compact_pool_matches_naive_cover(self, case):
+        # Draws [:cut] reach from_edges as node sets; the rest as one-node
+        # counts and an empty count, as build_pool passes them.
+        edges, n, k, cut = case
+        counted = edges[cut:]
+        singles = np.bincount([v for h in counted if len(h) == 1 for v in h],
+                              minlength=n)
+        pool = HyperEdgePool.from_edges(
+            edges[:cut] + [h for h in counted if len(h) > 1], n, 3.0,
+            singles, counted.count(frozenset()))
+        assert len(pool) == len(edges)
+        assert Counter(edge_sets(pool)) == Counter(edges)
+        res = greedy_cover(pool, k)
+        assert (res.selected, res.marginal_degrees,
+                res.estimated_centrality) == naive_cover(edges, n, k, 3.0)
+        assert res.sample_count == len(edges)
 
     def test_zero_degree_tail_is_linear(self):
         # Once every degree is zero the picks are the unused ids in order;
@@ -272,7 +340,7 @@ class TestHedge:
                                                         monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the k check")
-        monkeypatch.setattr(samplers, "sample_many", no_sampling)
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
         with pytest.raises(ValueError, match="k must be positive|exceeds"):
             hedge(path_graph(5), SamplerSpec("betweenness"), k, 0.3,
                   rng=seeded(0), budget=budget)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from centmax import exact, samplers
 from centmax.graph import Graph, bfs_dag
 from centmax.maximize import build_pool
-from centmax.samplers import (SamplerSpec, alpha, dump_hyperedges, pack,
-                              sample, sample_bwc, sample_coverage,
+from centmax.samplers import (KINDS, SamplerSpec, alpha, dump_hyperedges,
+                              pack, sample, sample_bwc, sample_coverage,
                               sample_kpath, sample_many, sample_rr)
 from conftest import complete_graph, cycle_graph, eager_bfs_dag, \
     edge_sets, exact_influence, load_hyperedges, path_graph, random_graph, \
-    seeded
+    reference_rr_many, seeded
 
 
 class TestSpecAndAlpha:
@@ -431,6 +431,31 @@ class TestRRBatch:
         monkeypatch.setattr(samplers, "_ARC_BLOCK", 5)
         assert edge_sets(sample_many(g, spec, 3000, seeded(11))) == whole
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("case", range(4))
+    def test_same_arrays_as_the_reference_batch(self, case, p, directed,
+                                                monkeypatch):
+        # The reference BFS carries every set's target as a key; the
+        # sampler sets a target with no live in-arc aside at the first
+        # level.  The coin flips and the arrays must not change.
+        rng = seeded(40 + case)
+        g = random_graph(rng.randrange(1, 40), rng.choice((0.02, 0.1, 0.3)),
+                         rng, directed)
+        chunk = rng.choice((3, 7, 50))
+        q = rng.randrange(1, 4 * chunk)
+        monkeypatch.setattr(samplers, "_CHUNK", chunk)
+        want = reference_rr_many(g, p, q, seeded(case), chunk)
+        spec = SamplerSpec("rr-influence", p=p)
+        got = sample_many(g, spec, q, seeded(case))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [len(edge_sets(c)) for c in
+                samplers.sample_chunks(g, spec, q, seeded(case))] == \
+            [min(chunk, q - i) for i in range(0, q, chunk)]
+        pool = build_pool(g, spec, q, seeded(case))
+        assert len(pool) == q
+        assert Counter(edge_sets(pool)) == Counter(edge_sets(got))
+
     def test_batches_of_chunk_size(self, monkeypatch):
         monkeypatch.setattr(samplers, "_CHUNK", 7)
         g = RR_GRAPHS["directed"]
@@ -440,6 +465,15 @@ class TestRRBatch:
 
 
 class TestDispatchAndDump:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_draws_is_the_empty_csr_pair(self, kind):
+        ptr, nodes = sample_many(complete_graph(4), SamplerSpec(kind), 0,
+                                 seeded(0))
+        assert ptr.tolist() == [0] and nodes.size == 0
+        assert list(samplers.sample_chunks(complete_graph(4),
+                                           SamplerSpec(kind), 0,
+                                           seeded(0))) == []
+
     def test_dispatch(self):
         g = complete_graph(4)
         rng = seeded(0)
