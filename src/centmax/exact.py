@@ -1,21 +1,23 @@
 """Exact centrality oracles and exhaustive greedy/brute-force baselines.
 
 All pair sums use the ordered-pair convention and count only internal path
-nodes.  set_bwc and brute_force_max use exact Python-integer path counts and
-sum per-pair ratios with math.fsum, so results do not depend on
-accumulation order.  brandes and adaptive_bwc_all sweep blocks of sources
-with numpy and float64 path counts.
+nodes.  The betweenness and coverage oracles read one numpy BFS sweep over
+blocks of sources, with float64 path counts sigma and set-avoiding counts
+tau.  set_bwc,
+exact_coverage and brute_force_max refuse counts above 2^53 (SizeError), so
+theirs are exact integers, and set_bwc sums the correctly rounded per-pair
+ratios with math.fsum, so results do not depend on accumulation order.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SizeError
-from .graph import INF, all_triangles, bfs_dag
+from .graph import all_triangles
 from .maximize import HyperEdgePool, check_k, greedy_cover
 
 _BRUTE_FORCE_GUARD = 10 ** 7
@@ -38,25 +40,6 @@ def brandes(g):
     return adaptive_bwc_all(g, ())
 
 
-def _avoidance_counts(g, dag, blocked):
-    """Per-node counts of source-to-node shortest paths whose internal
-    nodes avoid `blocked` (the source itself is exempt), in one forward
-    pass over the BFS order: the source and every unblocked node add their
-    count to each out-neighbour one level further."""
-    s, dist = dag.source, dag.dist
-    tau = [0] * g.n
-    tau[s] = 1
-    for v in dag.order:
-        tv = tau[v]
-        if not tv or (v != s and v in blocked):
-            continue
-        dv1 = dist[v] + 1
-        for w in g.adj[v]:
-            if dist[w] == dv1:
-                tau[w] += tv
-    return tau
-
-
 def _node_set(g, nodes):
     """The distinct ids of `nodes`; ValueError if one is outside 0..n-1."""
     nodes = set(nodes)
@@ -66,21 +49,50 @@ def _node_set(g, nodes):
     return nodes
 
 
-def set_bwc(g, nodes):
+def set_bwc(g, nodes, blocks=None):
     """Exact betweenness of a node set: ordered pairs (s,t), fraction of
-    shortest paths with an internal node in the set."""
-    blocked = _node_set(g, nodes)
+    shortest paths with an internal node in the set.  `blocks` holds the
+    BFS blocks of the first sources, as in adaptive_bwc_all."""
+    return math.fsum(chain.from_iterable(_hit_fractions(g, nodes, blocks)))
+
+
+def exact_coverage(g, nodes):
+    """Ordered pairs (s,t) with some shortest path internally hitting the
+    set: the pairs whose avoiding paths are fewer than all their paths."""
+    return float(sum(map(len, _hit_fractions(g, nodes))))
+
+
+def _hit_fractions(g, nodes, blocks=None):
+    """Per source block, the list of 1 - tau/sigma over the reached cells
+    with tau < sigma: the fraction of the pair's shortest paths that have
+    an internal node in `nodes`.  SizeError if a path count exceeds 2^53."""
+    blocked = list(_node_set(g, nodes))
     if not blocked:
-        return 0.0
-    terms = []
-    for s in range(g.n):
-        dag = bfs_dag(g, s)
-        tau = _avoidance_counts(g, dag, blocked)
-        for t in dag.order:
-            if t == s or dag.dist[t] <= 1:
-                continue
-            terms.append(1.0 - tau[t] / dag.sigma[t])
-    return math.fsum(terms)
+        return
+    unblocked = np.ones(g.n)
+    unblocked[blocked] = 0.0
+    for block in _blocks(g, blocks or ()):
+        _check_exact(block)
+        sigma = block.sigma
+        tau = _avoiding(block, np.tile(unblocked, len(block.origin)))
+        hit = tau < sigma
+        yield (1.0 - tau[hit] / sigma[hit]).tolist()
+
+
+def _check_exact(block):
+    """SizeError unless every path count of the block is at most 2^53, so
+    that float64 holds it, and every avoidance count below it, exactly.  A
+    float count of exactly 2^53 may be a rounded 2^53 + 1, so such a block
+    is counted again in int64."""
+    top = block.sigma.max()
+    if top == 2 ** 53:
+        counts = np.zeros(block.sigma.size, dtype=np.int64)
+        counts[block.origin] = 1
+        for parent, child in block.levels:
+            np.add.at(counts, child, counts[parent])
+        top = counts.max()
+    if top > 2 ** 53:
+        raise SizeError("shortest-path counts exceed 2^53")
 
 
 def adaptive_bwc_all(g, nodes, blocks=None):
@@ -191,16 +203,8 @@ def _dependency(block, unblocked):
     divided by sigma(t).  Endpoints are exempt from the block."""
     origin, sigma, levels = block
     size = sigma.size
-    # Pass 2: avoidance counts; blocked parents pass nothing on, except
-    # the source itself.
     cell_open = np.tile(unblocked, len(origin))
-    tau = sigma
-    if not unblocked.all():
-        tau = np.zeros(size)
-        tau[origin] = 1.0
-        for i, (parent, child) in enumerate(levels):
-            weight = tau[parent] if i == 0 else tau[parent] * cell_open[parent]
-            np.add.at(tau, child, weight)
+    tau = sigma if unblocked.all() else _avoiding(block, cell_open)
     # Pass 3: backward accumulation; a blocked child adds only itself as
     # a target.
     inv = np.zeros(size)
@@ -213,6 +217,19 @@ def _dependency(block, unblocked):
     dep = tau * delta
     dep[origin] = 0.0
     return dep.reshape(len(origin), -1).sum(axis=0)
+
+
+def _avoiding(block, cell_open):
+    """Pass 2 of the sweep: per cell, tau, the count of the source-to-node
+    shortest paths whose internal nodes are open (`cell_open` 1.0, blocked
+    0.0).  A blocked parent passes nothing on, except the source itself."""
+    origin, sigma, levels = block
+    tau = np.zeros(sigma.size)
+    tau[origin] = 1.0
+    for i, (parent, child) in enumerate(levels):
+        weight = tau[parent] if i == 0 else tau[parent] * cell_open[parent]
+        np.add.at(tau, child, weight)
+    return tau
 
 
 def ex_greedy(g, k):
@@ -241,47 +258,28 @@ def ex_greedy(g, k):
 
 def brute_force_max(g, k):
     """Exact optimum over all size-k subsets.  Guarded: refuses above
-    10^7 candidate subsets."""
+    10^7 candidate subsets.  As in ex_greedy, every subset reuses the BFS
+    blocks held within _HELD_BYTES."""
     check_k(k, g.n)
     if math.comb(g.n, k) > _BRUTE_FORCE_GUARD:
         raise SizeError(f"C({g.n},{k}) subsets exceed the enumeration guard")
+    held = _held_blocks(g)
     best_set, best_val = None, -1.0
     for subset in combinations(range(g.n), k):
-        val = set_bwc(g, subset)
+        val = set_bwc(g, subset, held)
         if val > best_val:
             best_set, best_val = set(subset), val
     return best_set, best_val
 
 
-def exact_coverage(g, nodes):
-    """Ordered pairs (s,t) with some shortest path internally hitting the
-    set: v is internal on a shortest s-t path iff d(s,v)+d(v,t)=d(s,t)."""
-    nodes = list(_node_set(g, nodes))
-    if not nodes:
-        return 0.0
-    dist = [bfs_dag(g, s).dist for s in range(g.n)]
-    count = 0
-    for s in range(g.n):
-        ds = dist[s]
-        for t in range(g.n):
-            if t == s or ds[t] is INF or ds[t] <= 1:
-                continue
-            for v in nodes:
-                if v == s or v == t:
-                    continue
-                dvt = dist[v][t]
-                if ds[v] is not INF and dvt is not INF and ds[v] + dvt == ds[t]:
-                    count += 1
-                    break
-    return float(count)
-
-
 def exact_kpath(g, nodes, kappa):
     """Exact expected number of start nodes whose random simple walk of
     length kappa touches the set.  Exponential in kappa; small graphs only."""
+    if kappa < 1:
+        raise ValueError("kappa must be a positive integer")
+    hit = _node_set(g, nodes)
     if g.n > 12:
         raise SizeError("exact walk enumeration is limited to n <= 12")
-    hit = set(nodes)
 
     def walk_prob(v, visited, steps):
         # Probability the remaining walk hits the set, given it has not yet.

@@ -161,6 +161,16 @@ class TestExact:
                     "-o", str(tmp_path / "b.csv")]) == 3
         assert "overflow" in capsys.readouterr().err
 
+    def test_brute_past_exact_path_counts_is_size_error(self, tmp_path,
+                                                        capsys):
+        # 54 chained diamonds: 2^54 shortest paths, past float64's exact
+        # integers.
+        inp = write_graph(tmp_path, "".join(
+            f"{a} {b}\n" for a, b in diamond_chain_edges(54)))
+        assert run(["exact", "--input", inp, "--mode", "brute", "--k", "1",
+                    "-o", str(tmp_path / "b.csv")]) == 3
+        assert "2^53" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_ran_k4(self, tmp_path):

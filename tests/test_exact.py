@@ -171,6 +171,27 @@ class TestSweep:
             assert scores[i] == pytest.approx(set_bwc(g, picks[:i + 1]),
                                               abs=1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(graphs_with_sets(2, 12), st.integers(1, 300))
+    def test_set_oracles_on_both_sides_of_the_held_bound(self, case,
+                                                         block_cells):
+        # set_bwc with held blocks and brute_force_max give the same bits
+        # with nothing held, the blocks split by the bound, and all held.
+        g, nodes = case
+        with patched(_BLOCK_CELLS=block_cells):
+            blocks = exact._held_blocks(g)
+            split = held_bytes(blocks[:len(blocks) // 2])
+            runs = []
+            for bound in (0, split, exact._HELD_BYTES):
+                with patched(_HELD_BYTES=bound):
+                    held = exact._held_blocks(g)
+                    runs.append((set_bwc(g, nodes, held).hex(),
+                                 set_bwc(g, nodes, blocks).hex(),
+                                 brute_force_max(g, 1),
+                                 brute_force_max(g, min(2, g.n))))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == set_bwc(g, nodes).hex()
+
     def test_held_bound_holds_ran1000_whole(self):
         g = generators.gen_ran(1000, seeded(3))
         held = exact._held_blocks(g)
@@ -394,6 +415,17 @@ class TestCoverage:
             S = set(rng.sample(range(n), rng.randrange(1, 4)))
             assert exact_coverage(g, S) == triple_loop_coverage(g, S)
 
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_sets(1, 10))
+    def test_match_the_references(self, case):
+        # Directed and undirected graphs, sparse ones with unreachable
+        # pairs among them: both set oracles equal their references.
+        g, nodes = case
+        bwc, cov = set_bwc(g, nodes), exact_coverage(g, nodes)
+        assert bwc == enumeration_set_bwc(g, nodes)
+        assert cov == triple_loop_coverage(g, nodes)
+        assert bwc <= cov
+
     def test_at_least_betweenness(self):
         rng = seeded(11)
         for _ in range(10):
@@ -413,7 +445,57 @@ class TestCoverage:
             exact_coverage(path_graph(4), {node})
 
 
+class TestExactCountBound:
+    """set_bwc, exact_coverage and brute_force_max keep float64 path
+    counts only while they are exact: up to 2^53."""
+
+    @staticmethod
+    def diamonds(count, extra_path=False):
+        # Node 3 * count is the bottom of the last diamond, with 2^count
+        # shortest paths from node 0.  The extra path adds one more of the
+        # same length, 2 * count, through nodes of its own.
+        n, edges = 3 * count + 1, diamond_chain_edges(count)
+        if extra_path:
+            inner = list(range(n, n + 2 * count - 1))
+            hops = [0] + inner + [3 * count]
+            edges += list(zip(hops, hops[1:]))
+            n += len(inner)
+        return Graph(n, edges)
+
+    def test_2_to_the_53_paths_are_exact(self):
+        g = self.diamonds(53)
+        assert set_bwc(g, {1}).hex() == "0x1.3a00000000000p+7"
+        assert exact_coverage(g, {1}) == 314.0
+        assert brute_force_max(g, 1) == ({78}, 12638.0)
+
+    def test_2_to_the_54_paths_raise(self):
+        g = self.diamonds(54)
+        for oracle in (lambda: set_bwc(g, {1}),
+                       lambda: exact_coverage(g, {1}),
+                       lambda: brute_force_max(g, 1)):
+            with pytest.raises(SizeError, match=r"2\^53"):
+                oracle()
+
+    def test_count_rounded_down_to_2_to_the_53_raises(self):
+        # 2^53 + 1 paths reach the last bottom; float64 rounds the count to
+        # 2^53, and no other count is larger, so only the int64 recount
+        # can catch it.
+        g = self.diamonds(53, extra_path=True)
+        assert max(b.sigma.max() for b in exact._blocks(g)) == 2.0 ** 53
+        with pytest.raises(SizeError, match=r"2\^53"):
+            set_bwc(g, {1})
+
+
 class TestKPath:
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_out_of_range_node(self, node):
+        with pytest.raises(ValueError, match=f"node {node} out of range"):
+            exact_kpath(path_graph(4), {node}, 2)
+
+    def test_kappa_below_one_rejected(self):
+        with pytest.raises(ValueError, match="kappa"):
+            exact_kpath(path_graph(4), {1}, 0)
+
     def test_all_nodes(self):
         g = complete_graph(4)
         assert exact_kpath(g, set(range(4)), 2) == pytest.approx(4.0)

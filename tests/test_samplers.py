@@ -88,7 +88,7 @@ class TestBwcSampler:
                       (0, 4)])
         rng = seeded(6)
         for s in range(g.n):
-            dag = exact.bfs_dag(g, s)
+            dag = bfs_dag(g, s)
             preds = eager_bfs_dag(g, s)[3]
             for t in range(g.n):
                 if t == s or dag.dist[t] == math.inf or dag.dist[t] <= 1 \
