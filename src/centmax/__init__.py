@@ -2,9 +2,8 @@
 exact oracles, graph generators, and experiment drivers."""
 
 from .errors import ParseError, SizeError
-from .graph import (Graph, ShortestPathDAG, TemporalEdgeList, bfs_dag,
-                    load_edge_list, load_temporal_edge_list,
-                    write_edge_list)
+from .graph import (Graph, TemporalEdgeList, bfs_dag, load_edge_list,
+                    load_temporal_edge_list, write_edge_list)
 from .samplers import (SamplerSpec, alpha, sample, sample_bwc,
                        sample_coverage, sample_kpath, sample_many, sample_rr)
 from .maximize import (HyperEdgePool, RunResult, build_pool, equal_budget,

@@ -2,7 +2,8 @@
 
 Every subcommand is seeded and reproducible: the same flags (including
 --seed) produce byte-identical output apart from wall times, and each output
-embeds the configuration that made it.
+embeds the configuration that made it, except the exact CSVs and the
+sample-dump lines, which hold only their rows.
 
 Exit codes: 0 success, 2 usage error, 3 size-guard refusal or path-count
 overflow, 4 I/O error.
@@ -16,6 +17,7 @@ import random
 import sys
 import time
 import zlib
+from itertools import chain
 
 from . import exact, experiments, generators, maximize, samplers
 from .errors import ParseError, SizeError
@@ -148,36 +150,36 @@ def cmd_maximize(args):
 
 def cmd_exact(args):
     g = _load_graph(args)
+    denom = g.n * (g.n - 1) if g.n > 1 else 1
+    # Every row is computed before the output opens, so a refused run
+    # leaves no file behind and an existing one untouched.
+    if args.mode == "brandes":
+        if g.n > _BRANDES_GUARD_N:
+            raise SizeError(f"n={g.n} exceeds the exact guard "
+                            f"{_BRANDES_GUARD_N}")
+        rows = ["node,score,scaled_score"]
+        rows += [f"{g.labels[v]},{_fmt(score)},{_fmt(score / denom)}"
+                 for v, score in enumerate(exact.brandes(g))]
+    elif args.mode == "exgreedy":
+        if g.n > _EXGREEDY_GUARD_N:
+            raise SizeError(f"n={g.n} exceeds the exhaustive-greedy "
+                            f"guard {_EXGREEDY_GUARD_N}")
+        t0 = time.perf_counter()
+        picks, scores = exact.ex_greedy(g, args.k)
+        elapsed = time.perf_counter() - t0
+        rows = ["round,node,set_centrality,scaled_centrality"]
+        rows += [f"{i},{g.labels[v]},{_fmt(s)},{_fmt(s / denom)}"
+                 for i, (v, s) in enumerate(zip(picks, scores), 1)]
+        rows.append(f"# wall_time {_fmt(elapsed)}")
+    elif args.mode == "brute":
+        best_set, best_val = exact.brute_force_max(g, args.k)
+        label_str = " ".join(str(g.labels[v]) for v in sorted(best_set))
+        rows = ["nodes,set_centrality,scaled_centrality",
+                f"{label_str},{_fmt(best_val)},{_fmt(best_val / denom)}"]
+    else:
+        raise UsageError(f"unknown exact mode {args.mode!r}")
     with _open_out(args.output) as fh:
-        if args.mode == "brandes":
-            if g.n > _BRANDES_GUARD_N:
-                raise SizeError(f"n={g.n} exceeds the exact guard "
-                                f"{_BRANDES_GUARD_N}")
-            scores = exact.brandes(g)
-            denom = g.n * (g.n - 1) if g.n > 1 else 1
-            fh.write("node,score,scaled_score\n")
-            for v, score in enumerate(scores):
-                fh.write(f"{g.labels[v]},{_fmt(score)},{_fmt(score / denom)}\n")
-        elif args.mode == "exgreedy":
-            if g.n > _EXGREEDY_GUARD_N:
-                raise SizeError(f"n={g.n} exceeds the exhaustive-greedy "
-                                f"guard {_EXGREEDY_GUARD_N}")
-            t0 = time.perf_counter()
-            picks, scores = exact.ex_greedy(g, args.k)
-            elapsed = time.perf_counter() - t0
-            denom = g.n * (g.n - 1) if g.n > 1 else 1
-            fh.write("round,node,set_centrality,scaled_centrality\n")
-            for i, (v, s) in enumerate(zip(picks, scores), 1):
-                fh.write(f"{i},{g.labels[v]},{_fmt(s)},{_fmt(s / denom)}\n")
-            fh.write(f"# wall_time {_fmt(elapsed)}\n")
-        elif args.mode == "brute":
-            best_set, best_val = exact.brute_force_max(g, args.k)
-            denom = g.n * (g.n - 1) if g.n > 1 else 1
-            fh.write("nodes,set_centrality,scaled_centrality\n")
-            label_str = " ".join(str(g.labels[v]) for v in sorted(best_set))
-            fh.write(f"{label_str},{_fmt(best_val)},{_fmt(best_val / denom)}\n")
-        else:
-            raise UsageError(f"unknown exact mode {args.mode!r}")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def cmd_generate(args):
@@ -274,12 +276,13 @@ def cmd_sample_dump(args):
         raise UsageError("--count must be positive")
     g = _load_graph(args)
     spec = _sampler_spec(args)
-    rng = random.Random(args.seed)
-    # Drawn one chunk at a time, so each chunk is written as it is drawn.
+    chunks = samplers.sample_chunks(g, spec, args.count,
+                                    random.Random(args.seed))
+    # The first chunk is drawn before the output opens, so a refused draw
+    # leaves no file behind; the rest are written as they are drawn.
+    first = next(chunks)
     with _open_out(args.output) as fh:
-        samplers.dump_hyperedges(
-            samplers.sample_chunks(g, spec, args.count, rng), fh,
-            labels=g.labels)
+        samplers.dump_hyperedges(chain([first], chunks), fh, labels=g.labels)
 
 
 def _add_common(p, gen=True):

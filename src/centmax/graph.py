@@ -1,5 +1,5 @@
-"""Immutable sparse graphs, edge-list I/O, BFS shortest-path DAGs, and
-connectivity primitives.
+"""Immutable sparse graphs, edge-list I/O, BFS distances and path counts,
+and connectivity primitives.
 
 Node ids are dense integers 0..n-1 after ingestion; the original labels are
 kept on the Graph for output translation.  Graphs are simple: self-loops and
@@ -7,15 +7,12 @@ parallel edges are dropped at construction.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError
-
-INF = math.inf
 
 # Per-source BFS results are cached on the graph below this size; samplers
 # draw many hyper-edges from the same small graph.
@@ -128,18 +125,10 @@ def _lists(indptr, indices):
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass
-class ShortestPathDAG:
-    """Per-source BFS result: hop distances, exact path counts, and the
-    nodes in BFS order."""
-    source: int
-    dist: list            # hop distance, math.inf if unreachable
-    sigma: list           # shortest-path counts (Python ints, never overflow)
-    order: list           # reached nodes in nondecreasing distance
-
-
 def bfs_dag(g, s):
-    """Level-synchronous BFS shortest-path DAG from s along out-edges.
+    """Level-synchronous BFS from s along out-edges: (dist, sigma) lists,
+    hop distances with -1 for unreachable and exact shortest-path counts
+    (Python ints, never overflow).
 
     Cached on the graph for small n; treat the result as immutable.
     """
@@ -148,11 +137,10 @@ def bfs_dag(g, s):
     if g.n <= _CACHE_MAX_N and s in g._dag_cache:
         return g._dag_cache[s]
     adj = g.adj
-    dist = [INF] * g.n
+    dist = [-1] * g.n
     sigma = [0] * g.n
     dist[s] = 0
     sigma[s] = 1
-    order = [s]
     frontier = [s]
     level = 0
     while frontier:
@@ -162,25 +150,23 @@ def bfs_dag(g, s):
             sv = sigma[v]
             for w in adj[v]:
                 dw = dist[w]
-                if dw is INF:
+                if dw < 0:
                     dist[w] = level
                     sigma[w] = sv
                     fresh.append(w)
                 elif dw == level:
                     sigma[w] += sv
-        order += fresh
         frontier = fresh
-    dag = ShortestPathDAG(s, dist, sigma, order)
     if g.n <= _CACHE_MAX_N:
-        g._dag_cache[s] = dag
-    return dag
+        g._dag_cache[s] = dist, sigma
+    return dist, sigma
 
 
 def bfs_dist_sigma(g, s, stop_at=None):
-    """Level-synchronous numpy BFS returning (dist, sigma) arrays.
+    """Level-synchronous numpy BFS returning (dist, sigma), as bfs_dag does.
 
     dist is int64 with -1 for unreachable.  sigma is int64; if counts risk
-    overflowing, falls back to the exact big-int DAG.  If stop_at is given,
+    overflowing, it is bfs_dag's list of exact counts.  If stop_at is given,
     levels beyond dist[stop_at] are not expanded (sigma is then only valid
     for nodes at distance <= dist[stop_at]).
     """
@@ -208,10 +194,8 @@ def bfs_dist_sigma(g, s, stop_at=None):
             dist[nbrs[fresh]] = level + 1
         sel = dist[nbrs] == level + 1
         if int(sigma[frontier].max()) > limit:
-            dag = bfs_dag(g, s)
-            d = np.array([-1 if x is INF else int(x) for x in dag.dist],
-                         dtype=np.int64)
-            return d, dag.sigma
+            dist, sigma = bfs_dag(g, s)
+            return np.array(dist, dtype=np.int64), sigma
         np.add.at(sigma, nbrs[sel], sigma[src[sel]])
         frontier = np.unique(nbrs[fresh])
         level += 1
@@ -317,9 +301,9 @@ def load_edge_list(path, directed=False):
                  directed=directed, labels=labels.tolist())
 
 
-def graph_from_labeled_edges(raw, directed=False, extra_nodes=()):
+def graph_from_labeled_edges(raw, directed=False):
     """Build a Graph from arbitrarily-labeled edges, remapping densely."""
-    labels = sorted({x for e in raw for x in e} | set(extra_nodes))
+    labels = sorted({x for e in raw for x in e})
     index = {lab: i for i, lab in enumerate(labels)}
     edges = [(index[u], index[v]) for u, v in raw]
     return Graph(len(labels), edges, directed=directed, labels=labels)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import INF, bfs_dag, bfs_dist_sigma, _CACHE_MAX_N
+from .graph import bfs_dag, bfs_dist_sigma, _CACHE_MAX_N
 
 KINDS = ("betweenness", "coverage", "kpath", "rr-influence")
 
@@ -173,12 +173,10 @@ def _pair_dag(g, rng):
     if not g.adj[s] or not g.radj[t]:
         return None  # t is unreachable; skip the BFS
     if g.n <= _CACHE_MAX_N:
-        dag = bfs_dag(g, s)
-        dist, sigma = dag.dist, dag.sigma
+        dist, sigma = bfs_dag(g, s)
     else:
         dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
-    # Unreachable reads INF from bfs_dag and -1 from bfs_dist_sigma.
-    if dist[t] is INF or dist[t] <= 1:
+    if dist[t] <= 1:
         return None
     return t, dist, sigma
 

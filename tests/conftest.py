@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 
 from centmax.errors import ParseError
-from centmax.graph import INF, Graph, all_triangles
+from centmax.graph import Graph, all_triangles
 
 
 def reference_adjacency(n, edges, directed=False):
@@ -102,22 +102,22 @@ def diamond_chain_edges(count):
 
 def eager_bfs_dag(g, s):
     """Queue BFS that appends each predecessor as it is dequeued, so every
-    predecessor list is in BFS order: (dist, sigma, order, preds)."""
-    dist, sigma = [INF] * g.n, [0] * g.n
+    predecessor list is in BFS order: (dist, sigma, preds), with dist -1
+    for unreachable nodes."""
+    dist, sigma = [-1] * g.n, [0] * g.n
     preds = [[] for _ in range(g.n)]
     dist[s], sigma[s] = 0, 1
-    order, queue = [], deque([s])
+    queue = deque([s])
     while queue:
         v = queue.popleft()
-        order.append(v)
         for w in g.adj[v]:
-            if dist[w] is INF:
+            if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
             if dist[w] == dist[v] + 1:
                 sigma[w] += sigma[v]
                 preds[w].append(v)
-    return dist, sigma, order, [tuple(p) for p in preds]
+    return dist, sigma, [tuple(p) for p in preds]
 
 
 def largest_component_size(g, removed=()):

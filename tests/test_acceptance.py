@@ -93,8 +93,8 @@ class TestCriterion1:
 
 
 def all_shortest_paths(g, s, t):
-    dist, _, _, preds = eager_bfs_dag(g, s)
-    if dist[t] == math.inf:
+    dist, _, preds = eager_bfs_dag(g, s)
+    if dist[t] < 0:
         return []
     paths = []
 
@@ -299,8 +299,8 @@ class TestCriterion10:
                 ok = False
             reach = set()
             for s in seeds:
-                dag = bfs_dag(g, s)
-                reach |= {v for v in range(n) if dag.dist[v] < math.inf}
+                dist, _ = bfs_dag(g, s)
+                reach |= {v for v in range(n) if dist[v] >= 0}
             if experiments.ic_spread(g, seeds, 1.0, runs=50, rng=rng) \
                     != len(reach):
                 ok = False

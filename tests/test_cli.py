@@ -151,15 +151,17 @@ class TestExact:
         assert run(["exact", "--input", inp, "--mode", mode, "--k", k,
                     "-o", str(out)]) == 2
         assert "k=" in capsys.readouterr().err
-        assert not out.exists() or out.read_text() == ""
+        assert not out.exists()
 
     def test_path_count_overflow_is_size_error(self, tmp_path, capsys):
         # 1100 chained diamonds: 2^1100 shortest paths overflow float64.
         inp = write_graph(tmp_path, "".join(
             f"{a} {b}\n" for a, b in diamond_chain_edges(1100)))
+        out = tmp_path / "b.csv"
         assert run(["exact", "--input", inp, "--mode", "brandes",
-                    "-o", str(tmp_path / "b.csv")]) == 3
+                    "-o", str(out)]) == 3
         assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_brute_past_exact_path_counts_is_size_error(self, tmp_path,
                                                         capsys):
@@ -167,9 +169,26 @@ class TestExact:
         # integers.
         inp = write_graph(tmp_path, "".join(
             f"{a} {b}\n" for a, b in diamond_chain_edges(54)))
+        out = tmp_path / "b.csv"
         assert run(["exact", "--input", inp, "--mode", "brute", "--k", "1",
-                    "-o", str(tmp_path / "b.csv")]) == 3
+                    "-o", str(out)]) == 3
         assert "2^53" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--mode", "brute", "--k", "1"], 3),
+        (["--gen", "ran:10", "--mode", "exgreedy", "--k", "11"], 2)])
+    def test_refused_run_leaves_an_existing_output_as_it_was(
+            self, tmp_path, argv, code):
+        # The brute-force run is refused past 2^53 shortest paths, the
+        # exhaustive greedy for a k above n.
+        if "--gen" not in argv:
+            argv = ["--input", write_graph(tmp_path, "".join(
+                f"{a} {b}\n" for a, b in diamond_chain_edges(54)))] + argv
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"round,node\n1,7\n")
+        assert run(["exact", *argv, "-o", str(out)]) == code
+        assert out.read_bytes() == b"round,node\n1,7\n"
 
 
 class TestGenerate:
@@ -499,4 +518,13 @@ class TestSampleDump:
         assert run(["sample-dump", "--input", inp, "--count", "0",
                     "-o", str(out)]) == 2
         assert "--count must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refused_pair_draw_writes_no_file(self, tmp_path, capsys):
+        # One node: no ordered pair to draw.
+        inp = write_graph(tmp_path, "0 0\n")
+        out = tmp_path / "d.txt"
+        assert run(["sample-dump", "--input", inp, "--count", "5",
+                    "-o", str(out)]) == 2
+        assert "n >= 2" in capsys.readouterr().err
         assert not out.exists()

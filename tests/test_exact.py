@@ -12,7 +12,7 @@ from centmax.errors import SizeError
 from centmax.exact import (adaptive_bwc_all, brandes, brute_force_max,
                            ex_greedy, exact_coverage, exact_kpath, set_bwc,
                            triangle_greedy)
-from centmax.graph import INF, Graph, all_triangles, bfs_dag
+from centmax.graph import Graph, all_triangles, bfs_dag
 from conftest import complete_graph, diamond_chain_edges, eager_bfs_dag, \
     path_graph, random_graph, reference_triangle_greedy, seeded, star_graph
 
@@ -35,8 +35,8 @@ def triangle_count(g, nodes):
 def all_shortest_paths(g, s, t):
     """Explicit enumeration oracle over a test-side BFS, independent of
     the tau recursion."""
-    dist, _, _, preds = eager_bfs_dag(g, s)
-    if dist[t] is INF:
+    dist, _, preds = eager_bfs_dag(g, s)
+    if dist[t] < 0:
         return []
     paths = []
 
@@ -345,9 +345,8 @@ class TestExGreedy:
         # With all nodes chosen, every ordered pair at distance >= 2 counts.
         pairs = 0
         for s in range(g.n):
-            dag = bfs_dag(g, s)
-            pairs += sum(1 for t in range(g.n)
-                         if dag.dist[t] is not INF and dag.dist[t] >= 2)
+            dist, _ = bfs_dag(g, s)
+            pairs += sum(1 for t in range(g.n) if dist[t] >= 2)
         assert scores[-1] == pytest.approx(pairs)
 
     def test_near_optimal(self):
@@ -390,14 +389,13 @@ class TestBruteForce:
 
 def triple_loop_coverage(g, nodes):
     nodes = set(nodes)
-    dist = [bfs_dag(g, s).dist for s in range(g.n)]
+    dist = [bfs_dag(g, s)[0] for s in range(g.n)]
     count = 0
     for s in range(g.n):
         for t in range(g.n):
-            if s == t or dist[s][t] is INF:
+            if s == t or dist[s][t] < 0:
                 continue
-            if any(v not in (s, t) and dist[s][v] is not INF
-                   and dist[v][t] is not INF
+            if any(v not in (s, t) and dist[s][v] >= 0 and dist[v][t] >= 0
                    and dist[s][v] + dist[v][t] == dist[s][t] for v in nodes):
                 count += 1
     return float(count)

@@ -2,18 +2,19 @@ import math
 from collections import deque
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centmax import graph, samplers
 from centmax.errors import ParseError
-from centmax.graph import (INF, Graph, bfs_dag, bfs_dist_sigma,
+from centmax.graph import (Graph, bfs_dag, bfs_dist_sigma,
                            graph_from_labeled_edges, load_edge_list,
                            load_temporal_edge_list, write_edge_list)
-from conftest import complete_graph, cycle_graph, eager_bfs_dag, \
-    largest_component_size, path_graph, random_graph, reference_adjacency, \
-    reference_load, reference_rows, seeded, star_graph
+from conftest import complete_graph, cycle_graph, diamond_chain_edges, \
+    eager_bfs_dag, largest_component_size, path_graph, random_graph, \
+    reference_adjacency, reference_load, reference_rows, seeded, star_graph
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -213,13 +214,13 @@ class TestGraphBuild:
 
 
 def naive_bfs_dist(g, s):
-    dist = [INF] * g.n
+    dist = [-1] * g.n
     dist[s] = 0
     q = deque([s])
     while q:
         v = q.popleft()
         for w in g.adj[v]:
-            if dist[w] is INF:
+            if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 q.append(w)
     return dist
@@ -227,18 +228,18 @@ def naive_bfs_dist(g, s):
 
 class TestBfsDag:
     def test_path_graph(self):
-        dag = bfs_dag(path_graph(4), 0)
-        assert dag.dist == [0, 1, 2, 3]
-        assert dag.sigma == [1, 1, 1, 1]
+        dist, sigma = bfs_dag(path_graph(4), 0)
+        assert dist == [0, 1, 2, 3]
+        assert sigma == [1, 1, 1, 1]
 
     def test_cycle_antipodal_sigma(self):
-        dag = bfs_dag(cycle_graph(4), 0)
-        assert dag.sigma[2] == 2
+        _, sigma = bfs_dag(cycle_graph(4), 0)
+        assert sigma[2] == 2
 
     def test_disconnected(self):
         g = Graph(2, [])
-        dag = bfs_dag(g, 0)
-        assert dag.dist[1] is INF and dag.sigma[1] == 0
+        dist, sigma = bfs_dag(g, 0)
+        assert dist[1] == -1 and sigma[1] == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -250,33 +251,32 @@ class TestBfsDag:
         for i in range(20):
             g = random_graph(rng.randrange(2, 40), 0.15, rng,
                              directed=i % 2 == 1)
-            dag = bfs_dag(g, 0)
+            dist, sigma = bfs_dag(g, 0)
             for v in range(g.n):
-                if v == 0 or dag.dist[v] is INF:
+                if v == 0 or dist[v] < 0:
                     continue
-                preds = samplers._preds(g, dag.dist, v)
-                assert dag.sigma[v] == sum(dag.sigma[u] for u in preds)
+                preds = samplers._preds(g, dist, v)
+                assert sigma[v] == sum(sigma[u] for u in preds)
                 for u in preds:
-                    assert dag.dist[u] + 1 == dag.dist[v]
+                    assert dist[u] + 1 == dist[v]
 
     def test_matches_naive_bfs(self):
         rng = seeded(5)
         for _ in range(20):
             g = random_graph(rng.randrange(2, 100), 0.08, rng)
-            dag = bfs_dag(g, 0)
-            assert dag.dist == naive_bfs_dist(g, 0)
+            dist, _ = bfs_dag(g, 0)
+            assert dist == naive_bfs_dist(g, 0)
 
     def test_vectorized_matches(self):
         rng = seeded(9)
         for directed in (False, True):
             g = random_graph(60, 0.08, rng, directed=directed)
-            dag = bfs_dag(g, 3)
+            ref_dist, ref_sigma = bfs_dag(g, 3)
             dist, sigma = bfs_dist_sigma(g, 3)
             for v in range(g.n):
-                ref = -1 if dag.dist[v] is INF else dag.dist[v]
-                assert dist[v] == ref
-                if ref >= 0:
-                    assert int(sigma[v]) == dag.sigma[v]
+                assert dist[v] == ref_dist[v]
+                if ref_dist[v] >= 0:
+                    assert int(sigma[v]) == ref_sigma[v]
 
     def test_vectorized_matches_with_sinks(self):
         # Sparse directed graphs put out-degree-0 nodes inside BFS frontiers.
@@ -284,11 +284,19 @@ class TestBfsDag:
         for _ in range(30):
             g = random_graph(30, 0.05, rng, directed=True)
             for s in range(g.n):
-                dag = bfs_dag(g, s)
+                ref_dist, ref_sigma = bfs_dag(g, s)
                 dist, sigma = bfs_dist_sigma(g, s)
-                assert dist.tolist() == [-1 if d is INF else d
-                                         for d in dag.dist]
-                assert sigma.tolist() == dag.sigma
+                assert dist.tolist() == ref_dist
+                assert sigma.tolist() == ref_sigma
+
+    def test_vectorized_overflow_falls_back_to_exact_counts(self):
+        # 62 chained diamonds give 2^62 paths, past the int64 guard; the
+        # last node is isolated.
+        g = Graph(3 * 62 + 2, diamond_chain_edges(62))
+        dist, sigma = bfs_dist_sigma(g, 0)
+        assert dist.dtype == np.int64
+        assert (dist.tolist(), sigma) == bfs_dag(g, 0)
+        assert dist[-1] == -1 and sigma[-2] == 2 ** 62
 
 
 class TestLazyPreds:
@@ -300,10 +308,8 @@ class TestLazyPreds:
                                                                0.3)),
                              rng, directed=directed)
             for s in range(g.n):
-                dag = bfs_dag(g, s)
-                dist, sigma, order, _ = eager_bfs_dag(g, s)
-                assert (dag.dist, dag.sigma, dag.order) == (dist, sigma,
-                                                            order)
+                dist, sigma, _ = eager_bfs_dag(g, s)
+                assert bfs_dag(g, s) == (dist, sigma)
 
 
 def naive_component_count(g, removed=()):
@@ -353,5 +359,5 @@ def test_sigma_huge_counts_exact():
     # Hypercube path counts are factorials; Python ints keep them exact.
     from centmax.generators import gen_hypercube
     g = gen_hypercube(10)
-    dag = bfs_dag(g, 0)
-    assert dag.sigma[g.n - 1] == math.factorial(10)
+    _, sigma = bfs_dag(g, 0)
+    assert sigma[g.n - 1] == math.factorial(10)

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -67,13 +68,31 @@ class TestBwcSampler:
         with pytest.raises(ValueError):
             sample_bwc(Graph(1, []), seeded(0))
 
-    def test_never_contains_endpoints_and_valid_ids(self):
-        rng = seeded(3)
-        g = random_graph(30, 0.1, rng)
-        for _ in range(500):
-            h = sample_bwc(g, rng)
-            for v in h:
-                assert 0 <= v < g.n
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=2 * n))),
+        st.integers(0, 3), st.booleans(), st.integers(0, 2 ** 32))
+    def test_never_contains_endpoints_and_valid_ids(self, graph, isolated,
+                                                    directed, seed):
+        # Both pair samplers on both BFS back ends (the numpy one first,
+        # while the cache shows that bfs_dag never ran); each pair is
+        # replayed from a copy of the rng and checked against a queue BFS.
+        n, edges = graph
+        g = Graph(n + isolated, edges, directed=directed)
+        for limit in (0, samplers._CACHE_MAX_N):
+            for sampler in (sample_bwc, sample_coverage):
+                rng = seeded(seed)
+                with mock.patch.object(samplers, "_CACHE_MAX_N", limit):
+                    for _ in range(10):
+                        s, t = samplers._random_ordered_pair(g.n, clone(rng))
+                        h = sampler(g, rng)
+                        assert all(0 <= v < g.n for v in h)
+                        assert s not in h and t not in h
+                        if eager_bfs_dag(g, s)[0][t] <= 1:
+                            assert h == frozenset()
+            assert limit or not g._dag_cache
 
     def test_deterministic_given_seed(self):
         g = random_graph(25, 0.15, seeded(4))
@@ -88,14 +107,13 @@ class TestBwcSampler:
                       (0, 4)])
         rng = seeded(6)
         for s in range(g.n):
-            dag = bfs_dag(g, s)
-            preds = eager_bfs_dag(g, s)[3]
+            dist, sigma = bfs_dag(g, s)
+            preds = eager_bfs_dag(g, s)[2]
             for t in range(g.n):
-                if t == s or dag.dist[t] == math.inf or dag.dist[t] <= 1 \
-                        or dag.sigma[t] < 2:
+                if t == s or dist[t] <= 1 or sigma[t] < 2:
                     continue
                 paths = enumerate_paths(preds, s, t)
-                assert len(paths) == dag.sigma[t]
+                assert len(paths) == sigma[t]
         counts = Counter()
         draws = 60000
         for _ in range(draws):
@@ -213,9 +231,10 @@ def reversed_graph(g):
 def on_shortest_paths(g, rg, s, t):
     """d(s,t) and {v not in {s,t} : d(s,v) + d(v,t) = d(s,t)} from one BFS
     on g and one on its reverse rg, plus the distances from s."""
-    dist_s, dist_t = bfs_dag(g, s).dist, bfs_dag(rg, t).dist
+    dist_s, dist_t = bfs_dag(g, s)[0], bfs_dag(rg, t)[0]
     d = dist_s[t]
     cover = frozenset(v for v in range(g.n) if v != s and v != t
+                      and dist_s[v] >= 0 and dist_t[v] >= 0
                       and dist_s[v] + dist_t[v] == d)
     return d, cover, dist_s
 
@@ -235,7 +254,7 @@ def check_pair_samplers(g, rg, rng):
     h = sample_coverage(g, rng)
     # Coverage draws the pair and nothing else.
     assert rng.getstate() == ref.getstate()
-    unlinked = d is math.inf or d <= 1
+    unlinked = d <= 1
     assert h == (frozenset() if unlinked else cover)
     path = sample_bwc(g, walk)
     if unlinked:
