@@ -147,20 +147,17 @@ def evolve(temporal, snapshots, ks, spec, rng, eps=DEFAULT_ORDERING_EPS,
     """
     if any(k < 1 for k in ks):
         raise ValueError("every k must be positive")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     rows = []
     for when in snapshots:
-        pairs = temporal.snapshot_edges(when, mode=mode)
-        if not pairs:
-            for k in ks:
-                rows.append(EvolutionRow(when, 0, 0, 0.0, k, 0.0))
+        g = graph_from_labeled_edges(temporal.snapshot_edges(when, mode=mode),
+                                     directed=directed)
+        if g.n < 2:
+            rows.extend(EvolutionRow(when, g.n, g.m, 0.0, k, 0.0) for k in ks)
             continue
-        g = graph_from_labeled_edges(pairs, directed=directed)
         avg_deg = (1 if directed else 2) * g.m / g.n
         kmax = min(max(ks), g.n)
-        if g.n < 2:
-            for k in ks:
-                rows.append(EvolutionRow(when, g.n, g.m, avg_deg, k, 0.0))
-            continue
         pool = maximize.build_pool(g, spec, ordering_budget(g.n, eps), rng)
         result = maximize.greedy_cover(pool, kmax)
         scaled = result.scaled_centrality()
@@ -175,13 +172,10 @@ def snapshot_grid(temporal, count):
     count must be positive."""
     if count < 1:
         raise ValueError("the snapshot count must be positive")
-    times = [t for _, _, t in temporal.records]
-    if not times:
+    times = temporal.times
+    if times.size == 0:
         return []
     if count == 1:
-        return [times[-1]]
-    out = []
-    for i in range(count):
-        idx = round(i * (len(times) - 1) / (count - 1))
-        out.append(times[idx])
-    return sorted(set(out))
+        return times[-1:].tolist()
+    picks = [round(i * (times.size - 1) / (count - 1)) for i in range(count)]
+    return sorted(set(times[picks].tolist()))

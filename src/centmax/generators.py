@@ -70,7 +70,7 @@ def gen_kronecker(seed, i, rng):
         # kron'd b more times: the products and the random stream of one
         # (n, n) draw, in O(n 2^b) memory.
         b = min(i, _KRON_BLOCK_LEVELS)
-        edges = []
+        blocks = []
         for block, prob in enumerate(kronecker_probability_matrix(p, i - b)):
             prob = prob[None, :]
             for _ in range(b):
@@ -78,7 +78,8 @@ def gen_kronecker(seed, i, rng):
             r0 = block << b
             us, vs = np.nonzero(np.triu(nrng.random(prob.shape) < prob,
                                         k=r0 + 1))
-            edges.extend(zip((us + r0).tolist(), vs.tolist()))
+            blocks.append(np.column_stack((us + r0, vs)))
+        edges = np.concatenate(blocks)
     else:
         mass = p.sum()
         # Each undirected edge can arrive through either ordered cell, so
@@ -93,7 +94,7 @@ def gen_kronecker(seed, i, rng):
         weights = (1 << np.arange(i - 1, -1, -1, dtype=np.int64))
         us = (rows * weights).sum(axis=1)
         vs = (cols * weights).sum(axis=1)
-        edges = list(zip(us.tolist(), vs.tolist()))
+        edges = np.column_stack((us, vs))
     meta = {"generator": "kronecker", "i": i, "method": method,
             "seed_matrix": [float(x) for row in p for x in row]}
     return Graph(n, edges, directed=False, meta=meta)

@@ -210,22 +210,30 @@ def _ranges(counts):
 
 @dataclass
 class TemporalEdgeList:
-    """Edges with integer timestamps, sorted by time (stable)."""
-    records: list  # (u, v, t) with original labels
+    """Labeled edges (m, 2) and their stamps (m,) as columns, stably sorted
+    by time; int64, or dtype object if a file value falls outside int64."""
+    edges: np.ndarray
+    times: np.ndarray
 
     def __len__(self):
-        return len(self.records)
+        return len(self.times)
 
     def snapshot_edges(self, when, mode="cumulative"):
-        """Edges (u, v) at time `when`, repeats kept (Graph drops them).
+        """Rows of `edges` at time `when`, repeats kept (Graph drops them).
 
         cumulative: every edge with t <= when.
         exact:      edges timestamped exactly `when` (dump-per-snapshot data).
         """
+        try:
+            key = np.array(when, dtype=self.times.dtype)
+        except OverflowError:
+            # numpy would round an int64 search key past int64 to a float.
+            key = np.array(when, dtype=object)
+        end = np.searchsorted(self.times, key, "right")
         if mode == "cumulative":
-            return [(u, v) for u, v, t in self.records if t <= when]
+            return self.edges[:end]
         if mode == "exact":
-            return [(u, v) for u, v, t in self.records if t == when]
+            return self.edges[np.searchsorted(self.times, key, "left"):end]
         raise ValueError(f"unknown snapshot mode {mode!r}")
 
 
@@ -236,17 +244,19 @@ def _parse_int(token, path, lineno):
         raise ParseError(f"{path}:{lineno}: bad integer token {token!r}") from None
 
 
-def _int_columns(path, width):
-    """The first `width` integer columns of every data line, as one int64
-    array read in a single C-level pass (np.loadtxt).
+def _int_columns(path, form):
+    """The first len(form.split()) integer columns of every data line, as
+    one (m, width) array: int64, or dtype object if a value falls outside
+    int64.
 
     Blank lines and '#' comment lines before the first data line are
-    skipped; any other '#' stays part of its line.  Returns None if the C
-    parser refuses the input (a malformed line, a comment after the first
-    data line, or a token that int() takes and it does not, such as 1_000,
-    non-ASCII digits or ids outside int64); `_int_rows` then gives the
-    exact result or ParseError.
+    skipped; any other '#' stays part of its line.  One C-level pass
+    (np.loadtxt) reads the file; input it refuses (a malformed line, a
+    comment after the first data line, or a token that int() takes and it
+    does not, such as 1_000, non-ASCII digits or ids outside int64) goes
+    through `_int_rows`, which gives the exact result or ParseError.
     """
+    width = len(form.split())
     with open(path) as fh:
         skip = 0
         for line in fh:
@@ -264,13 +274,13 @@ def _int_columns(path, width):
                                   skiprows=skip, usecols=range(width),
                                   ndmin=2)
         except (ValueError, Warning):
-            return None
+            pass
+    return _int_rows(path, form)
 
 
 def _int_rows(path, form):
-    """The line loop: the first len(form.split()) integer tokens of every
-    data line, as tuples of Python ints; ParseError names the first bad
-    line."""
+    """The line loop: `_int_columns`'s array, read token by token with
+    int(); ParseError names the first bad line."""
     width = len(form.split())
     rows = []
     with open(path) as fh:
@@ -284,7 +294,11 @@ def _int_rows(path, form):
                                  f"got {line!r}")
             rows.append(tuple(_parse_int(tok, path, lineno)
                               for tok in tokens[:width]))
-    return rows
+    # The dtype is given: numpy would infer float64 for a value past int64.
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(-1, width)
 
 
 def load_edge_list(path, directed=False):
@@ -292,33 +306,23 @@ def load_edge_list(path, directed=False):
 
     One C-level parse reads the file; only input it refuses goes through
     the line loop, which gives the same graph or the exact ParseError."""
-    cols = _int_columns(path, 2)
-    if cols is None:
-        return graph_from_labeled_edges(_int_rows(path, "u v"),
-                                        directed=directed)
+    return graph_from_labeled_edges(_int_columns(path, "u v"),
+                                    directed=directed)
+
+
+def graph_from_labeled_edges(cols, directed=False):
+    """Build a Graph from an (m, 2) array of integer labels (int64 or
+    dtype object), ids dense in sorted label order."""
     labels = _distinct(np.sort(cols, axis=None))
     return Graph(labels.size, np.searchsorted(labels, cols),
                  directed=directed, labels=labels.tolist())
 
 
-def graph_from_labeled_edges(raw, directed=False):
-    """Build a Graph from arbitrarily-labeled edges, remapping densely."""
-    labels = sorted({x for e in raw for x in e})
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = [(index[u], index[v]) for u, v in raw]
-    return Graph(len(labels), edges, directed=directed, labels=labels)
-
-
 def load_temporal_edge_list(path):
-    """Read "u v t" lines; returns records sorted by t (stable)."""
-    cols = _int_columns(path, 3)
-    if cols is None:
-        records = _int_rows(path, "u v t")
-        records.sort(key=lambda r: r[2])
-    else:
-        order = np.argsort(cols[:, 2], kind="stable")
-        records = list(map(tuple, cols[order].tolist()))
-    return TemporalEdgeList(records)
+    """Read "u v t" lines; returns the edges sorted by t (stable)."""
+    cols = _int_columns(path, "u v t")
+    cols = cols[np.argsort(cols[:, 2], kind="stable")]
+    return TemporalEdgeList(cols[:, :2], cols[:, 2])
 
 
 def write_edge_list(g, path, header=None):

@@ -52,14 +52,18 @@ def reference_rows(path, form="u v"):
     return rows
 
 
-def reference_load(path, directed=False):
-    """(labels, adj, radj) of an edge-list file by the line loop: labels
+def reference_relabel(rows, directed=False):
+    """(labels, adj, radj) of labeled (u, v) rows by a dict relabel: labels
     sorted, ids dense in label order."""
-    rows = reference_rows(path)
     labels = sorted({x for row in rows for x in row})
     index = {lab: i for i, lab in enumerate(labels)}
     edges = [(index[u], index[v]) for u, v in rows]
     return (labels, *reference_adjacency(len(labels), edges, directed))
+
+
+def reference_load(path, directed=False):
+    """reference_relabel of an edge-list file read by the line loop."""
+    return reference_relabel(reference_rows(path), directed)
 
 
 def path_graph(n, directed=False):

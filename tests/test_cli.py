@@ -435,6 +435,16 @@ class TestEvolve:
                     "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    def test_eps_is_checked_before_any_snapshot(self, tmp_path, capsys, eps):
+        # Snapshot 3 is empty, so no pool is drawn for it.
+        inp = write_graph(tmp_path, "0 1 10\n1 2 20\n2 3 30\n", "t.txt")
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--input", inp, "--snapshots", "3",
+                    "--eps", eps, "-o", str(out)]) == 2
+        assert "eps must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_snapshot_count_is_usage_error(self, tmp_path,
                                                        capsys, count):

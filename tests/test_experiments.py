@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from centmax import exact, samplers
@@ -11,6 +12,12 @@ from centmax.graph import Graph, TemporalEdgeList, bfs_dag
 from centmax.samplers import SamplerSpec
 from conftest import complete_graph, exact_influence, \
     largest_component_size, path_graph, random_graph, seeded, star_graph
+
+
+def temporal(records):
+    """The TemporalEdgeList of time-sorted (u, v, t) records."""
+    cols = np.array(records, dtype=np.int64).reshape(-1, 3)
+    return TemporalEdgeList(cols[:, :2], cols[:, 2])
 
 
 class TestOrdering:
@@ -201,9 +208,8 @@ class TestRisInfluenceMax:
 class TestEvolve:
     def test_single_snapshot_matches_static(self):
         records = [(0, 1, 5), (1, 2, 5), (2, 3, 5)]
-        temporal = TemporalEdgeList(records)
         spec = SamplerSpec("betweenness")
-        rows = evolve(temporal, [5], [1], spec, seeded(0))
+        rows = evolve(temporal(records), [5], [1], spec, seeded(0))
         assert len(rows) == 1
         row = rows[0]
         assert (row.n, row.m) == (4, 3)
@@ -212,39 +218,41 @@ class TestEvolve:
         from centmax import maximize
         from centmax.experiments import ordering_budget
         from centmax.graph import graph_from_labeled_edges
-        g = graph_from_labeled_edges([(0, 1), (1, 2), (2, 3)])
+        g = graph_from_labeled_edges(np.array([(0, 1), (1, 2), (2, 3)]))
         pool = maximize.build_pool(g, spec, ordering_budget(4), seeded(0))
         res = maximize.greedy_cover(pool, 1)
         assert row.scaled_centrality == pytest.approx(
             res.scaled_centrality()[0])
 
     def test_snapshot_before_first_timestamp(self):
-        temporal = TemporalEdgeList([(0, 1, 10)])
-        rows = evolve(temporal, [3], [1], SamplerSpec("betweenness"),
-                      seeded(0))
+        rows = evolve(temporal([(0, 1, 10)]), [3], [1],
+                      SamplerSpec("betweenness"), seeded(0))
         assert rows[0].n == 0 and rows[0].scaled_centrality == 0.0
+
+    def test_self_loop_only_snapshot(self):
+        rows = evolve(temporal([(0, 0, 5), (0, 1, 10)]), [5], [1, 2],
+                      SamplerSpec("betweenness"), seeded(0))
+        assert [(r.timestamp, r.n, r.m, r.avg_degree, r.k,
+                 r.scaled_centrality) for r in rows] == [
+            (5, 1, 0, 0.0, 1, 0.0), (5, 1, 0, 0.0, 2, 0.0)]
 
     def test_cumulative_growth(self):
         records = [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)]
-        temporal = TemporalEdgeList(records)
-        rows = evolve(temporal, [1, 4], [1], SamplerSpec("betweenness"),
-                      seeded(1))
+        rows = evolve(temporal(records), [1, 4], [1],
+                      SamplerSpec("betweenness"), seeded(1))
         assert rows[0].m == 1 and rows[1].m == 4
 
     def test_exact_mode_deletes(self):
         records = [(0, 1, 1), (1, 2, 1), (5, 6, 2)]
-        temporal = TemporalEdgeList(records)
-        rows = evolve(temporal, [2], [1], SamplerSpec("betweenness"),
-                      seeded(2), mode="exact")
+        rows = evolve(temporal(records), [2], [1],
+                      SamplerSpec("betweenness"), seeded(2), mode="exact")
         assert rows[0].n == 2 and rows[0].m == 1
 
     def test_snapshot_grid(self):
-        temporal = TemporalEdgeList([(0, 1, t) for t in range(100)])
-        grid = snapshot_grid(temporal, 5)
+        grid = snapshot_grid(temporal([(0, 1, t) for t in range(100)]), 5)
         assert grid[0] == 0 and grid[-1] == 99 and len(grid) == 5
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_snapshot_grid_needs_a_positive_count(self, count):
-        temporal = TemporalEdgeList([(0, 1, t) for t in range(10)])
         with pytest.raises(ValueError, match="snapshot count"):
-            snapshot_grid(temporal, count)
+            snapshot_grid(temporal([(0, 1, t) for t in range(10)]), count)

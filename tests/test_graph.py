@@ -1,5 +1,7 @@
 import math
+import operator
 from collections import deque
+from contextlib import suppress
 from itertools import accumulate
 
 import numpy as np
@@ -14,13 +16,20 @@ from centmax.graph import (Graph, bfs_dag, bfs_dist_sigma,
                            load_temporal_edge_list, write_edge_list)
 from conftest import complete_graph, cycle_graph, diamond_chain_edges, \
     eager_bfs_dag, largest_component_size, path_graph, random_graph, \
-    reference_adjacency, reference_load, reference_rows, seeded, star_graph
+    reference_adjacency, reference_load, reference_relabel, reference_rows, \
+    seeded, star_graph
 
 
 def write(tmp_path, text, name="g.txt"):
     p = tmp_path / name
     p.write_text(text, newline="")  # line endings as given
     return str(p)
+
+
+def records(temporal):
+    """The (u, v, t) records of a TemporalEdgeList, in its order."""
+    return list(map(tuple, np.column_stack((temporal.edges,
+                                            temporal.times)).tolist()))
 
 
 class TestLoadEdgeList:
@@ -59,19 +68,19 @@ class TestLoadEdgeList:
 class TestLoadTemporal:
     def test_sorted_by_time(self, tmp_path):
         t = load_temporal_edge_list(write(tmp_path, "0 1 -5\n1 2 3\n"))
-        assert [r[2] for r in t.records] == [-5, 3]
+        assert t.times.tolist() == [-5, 3]
 
     def test_empty(self, tmp_path):
         assert len(load_temporal_edge_list(write(tmp_path, ""))) == 0
 
     def test_stable_for_equal_timestamps(self, tmp_path):
         t = load_temporal_edge_list(write(tmp_path, "0 1 3\n2 3 3\n"))
-        assert t.records == [(0, 1, 3), (2, 3, 3)]
+        assert records(t) == [(0, 1, 3), (2, 3, 3)]
         # Past 16 records numpy's default sort is no longer stable.
         rows = [(i, i + 1, i % 2) for i in range(100)]
         t = load_temporal_edge_list(write(tmp_path, "".join(
             f"{u} {v} {w}\n" for u, v, w in rows)))
-        assert t.records == sorted(rows, key=lambda r: r[2])
+        assert records(t) == sorted(rows, key=lambda r: r[2])
 
     def test_missing_timestamp(self, tmp_path):
         with pytest.raises(ParseError):
@@ -134,9 +143,9 @@ class TestLoaderParity:
                 load_temporal_edge_list(path)
             assert str(info.value) == str(exc)
         else:
-            records = load_temporal_edge_list(path).records
-            assert records == sorted(rows, key=lambda r: r[2])
-            assert all(type(x) is int for r in records for x in r)
+            got = records(load_temporal_edge_list(path))
+            assert got == sorted(rows, key=lambda r: r[2])
+            assert all(type(x) is int for r in got for x in r)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(*[st.one_of(st.integers(-20, 20),
@@ -146,13 +155,13 @@ class TestLoaderParity:
     def test_write_then_load_round_trips(self, tmp_path_factory, raw,
                                          directed):
         path = str(tmp_path_factory.getbasetemp() / "round.txt")
-        write_edge_list(graph_from_labeled_edges(raw, directed), path,
+        cols = np.array(raw, dtype=object).reshape(-1, 2)
+        write_edge_list(graph_from_labeled_edges(cols, directed), path,
                         header="written by a test\nsecond line")
         g = load_edge_list(path, directed)
         # Isolated nodes are not written: only self-loops make them here.
-        want = graph_from_labeled_edges([e for e in raw if e[0] != e[1]],
-                                        directed)
-        assert (g.labels, g.adj, g.radj) == (want.labels, want.adj, want.radj)
+        assert (g.labels, g.adj, g.radj) == reference_relabel(
+            [e for e in raw if e[0] != e[1]], directed)
 
     @pytest.mark.parametrize("text, labels", [
         ("# head\n\n0 1 7\r\n1\t2\n+5 007\n  3 4 # tail\n",
@@ -169,9 +178,53 @@ class TestLoaderParity:
     @pytest.mark.parametrize("text", [
         "0 1#x\n", "0 1\n# later\n2 3\n", "1_000 2\n", "0 1\n0\n",
         f"{2 ** 63} 1\n"])
-    def test_refused_input_goes_to_the_line_loop(self, tmp_path, text):
+    def test_refused_input_goes_to_the_line_loop(self, tmp_path, monkeypatch,
+                                                 text):
+        line_loop, ran = graph._int_rows, []
+
+        def spy(path, form):
+            ran.append(form)
+            return line_loop(path, form)
+        monkeypatch.setattr(graph, "_int_rows", spy)
         path = write(tmp_path, text)
-        assert graph._int_columns(path, 2) is None
+        with suppress(ParseError):
+            graph._int_columns(path, "u v")
+        assert ran == ["u v"]
+
+
+# Labels and stamps of the snapshot property: mostly small, so stamps
+# repeat, and sometimes at or past the ends of int64.
+_EDGE64 = [2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 2 ** 70]
+_LABEL = st.one_of(st.integers(0, 6), st.integers(0, 6),
+                   st.sampled_from(_EDGE64))
+_STAMP = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
+                   st.sampled_from(_EDGE64))
+
+
+class TestSnapshots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_LABEL, _LABEL, _STAMP), max_size=20),
+           st.booleans())
+    def test_match_the_filtered_records(self, tmp_path_factory, rows,
+                                        directed):
+        path = write(tmp_path_factory.getbasetemp(),
+                     "".join(f"{u} {v} {t}\n" for u, v, t in rows),
+                     "temporal.txt")
+        temporal = load_temporal_edge_list(path)
+        ordered = sorted(rows, key=lambda r: r[2])
+        stamps = [t for _, _, t in ordered]
+        whens = {t + d for t in stamps for d in (-1, 0, 1)}
+        whens |= {min(stamps, default=0) - 1, max(stamps, default=0) + 1,
+                  2 ** 64, -2 ** 64}
+        for when in sorted(whens):
+            for mode, keep in (("cumulative", operator.le),
+                               ("exact", operator.eq)):
+                g = graph_from_labeled_edges(
+                    temporal.snapshot_edges(when, mode), directed)
+                want = reference_relabel(
+                    [(u, v) for u, v, t in ordered if keep(t, when)],
+                    directed)
+                assert (g.labels, g.adj, g.radj) == want, (when, mode)
 
 
 @st.composite
