@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import random
+import re
 import sys
 import time
 import zlib
@@ -356,6 +357,10 @@ def build_parser():
     _add_common(p, gen=False)
     _add_sampler(p)
     p.add_argument("--snapshots", help="comma-separated timestamps")
+    # argparse takes only a lone negative number for a value, so that
+    # "--snapshots -5,0,3" would read "-5,0,3" as an option; a comma list
+    # of integers is taken as a value too.
+    p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
     p.add_argument("--num-snapshots", type=int, default=10)
     p.add_argument("--k-values", default="1,50")
     p.add_argument("--eps", type=float, default=0.25)

@@ -280,6 +280,7 @@ def exact_kpath(g, nodes, kappa):
     hit = _node_set(g, nodes)
     if g.n > 12:
         raise SizeError("exact walk enumeration is limited to n <= 12")
+    indptr, indices = g.csr()
 
     def walk_prob(v, visited, steps):
         # Probability the remaining walk hits the set, given it has not yet.
@@ -287,7 +288,8 @@ def exact_kpath(g, nodes, kappa):
             return 1.0
         if steps == 0:
             return 0.0
-        options = [w for w in g.adj[v] if w not in visited]
+        options = [w for w in indices[indptr[v]:indptr[v + 1]].tolist()
+                   if w not in visited]
         if not options:
             return 0.0
         share = 1.0 / len(options)

@@ -49,6 +49,8 @@ def attack_curve(g, ordering, cap):
     0..cap, via reverse insertion with union-find (near-linear total)."""
     if not 0 <= cap <= g.n:
         raise ValueError(f"cap={cap} is outside 0..n={g.n}")
+    indptr, indices = g.weak_csr()
+    bounds, flat = indptr.tolist(), indices.tolist()
     prefix = list(ordering[:cap])
     removed = set(prefix)
     parent = list(range(g.n))
@@ -76,7 +78,7 @@ def attack_curve(g, ordering, cap):
     for u in range(g.n):
         if not active[u]:
             continue
-        for v in g.weak_neighbors(u):
+        for v in flat[bounds[u]:bounds[u + 1]]:
             if u < v and active[v]:
                 best = max(best, union(u, v))
     if any(active):
@@ -86,7 +88,7 @@ def attack_curve(g, ordering, cap):
         u = prefix[i]
         active[u] = True
         best = max(best, 1)
-        for v in g.weak_neighbors(u):
+        for v in flat[bounds[u]:bounds[u + 1]]:
             if active[v]:
                 best = max(best, union(u, v))
         sizes[i] = best

@@ -20,10 +20,11 @@ _CACHE_MAX_N = 2048
 
 
 class Graph:
-    """Simple graph over dense integer ids with sorted adjacency lists."""
+    """Simple graph over dense integer ids, held as two CSR pairs with
+    sorted rows."""
 
-    __slots__ = ("n", "directed", "adj", "radj", "labels", "meta",
-                 "_csr", "_rcsr", "_dag_cache")
+    __slots__ = ("n", "directed", "labels", "meta", "_csr", "_rcsr",
+                 "_dag_cache", "_adj", "_radj")
 
     def __init__(self, n, edges, directed=False, labels=None, meta=None):
         self.n = n
@@ -34,9 +35,8 @@ class Graph:
         self._csr = _csr_from_keys(u * n + v if directed else
                                    np.concatenate((u * n + v, v * n + u)), n)
         self._rcsr = _csr_from_keys(v * n + u, n) if directed else self._csr
-        self.adj = _lists(*self._csr)
-        self.radj = _lists(*self._rcsr) if directed else self.adj
         self._dag_cache = {}
+        self._adj = self._radj = None
 
     @property
     def m(self):
@@ -44,15 +44,32 @@ class Graph:
         arcs = int(self._csr[0][-1])
         return arcs if self.directed else arcs // 2
 
-    def degree(self, v):
-        return len(self.adj[v])
+    @property
+    def adj(self):
+        """Out-neighbour lists, built on first read; only the per-draw
+        Python samplers read them, all else reads the CSR pairs."""
+        if self._adj is None:
+            self._adj = _lists(*self._csr)
+        return self._adj
+
+    @property
+    def radj(self):
+        """In-neighbour lists (adj if undirected), built on first read."""
+        if not self.directed:
+            return self.adj
+        if self._radj is None:
+            self._radj = _lists(*self._rcsr)
+        return self._radj
 
     def edges(self):
-        """Iterate edges as (u, v); u < v for undirected graphs."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if self.directed or u < v:
-                    yield u, v
+        """Iterate edges as (u, v) in (u, v) order; u < v for undirected
+        graphs."""
+        indptr, v = self._csr
+        u = np.repeat(np.arange(self.n), np.diff(indptr))
+        if not self.directed:
+            keep = u < v
+            u, v = u[keep], v[keep]
+        return zip(u.tolist(), v.tolist())
 
     def csr(self):
         """(indptr, indices) arrays for the out-adjacency."""
@@ -62,11 +79,16 @@ class Graph:
         """(indptr, indices) arrays for the in-adjacency."""
         return self._rcsr
 
-    def weak_neighbors(self, v):
-        """Neighbors ignoring direction (deduplicated, sorted)."""
+    def weak_csr(self):
+        """(indptr, indices) arrays for the adjacency with direction
+        ignored: csr() if undirected, else the union of both arc
+        directions, each row sorted and free of repeats."""
         if not self.directed:
-            return self.adj[v]
-        return sorted(set(self.adj[v]) | set(self.radj[v]))
+            return self._csr
+        n = self.n
+        indptr, v = self._csr
+        u = np.repeat(np.arange(n), np.diff(indptr))
+        return _csr_from_keys(np.concatenate((u * n + v, v * n + u)), n)
 
 
 def _edge_columns(edges, n):
@@ -337,12 +359,14 @@ def write_edge_list(g, path, header=None):
 
 def all_triangles(g):
     """All triangles as (a, b, c) with a < b < c, direction ignored."""
+    indptr, indices = g.weak_csr()
+    bounds, flat = indptr.tolist(), indices.tolist()
     out = []
     for u in range(g.n):
-        nu = [w for w in g.weak_neighbors(u) if w > u]
+        nu = [w for w in flat[bounds[u]:bounds[u + 1]] if w > u]
         nu_set = set(nu)
         for v in nu:
-            for w in g.weak_neighbors(v):
+            for w in flat[bounds[v]:bounds[v + 1]]:
                 if w > v and w in nu_set:
                     out.append((u, v, w))
     return out

@@ -236,10 +236,11 @@ def sample_kpath(g, kappa, rng):
         raise ValueError("kappa must be a positive integer")
     if g.n < 1:
         raise ValueError("kpath sampler needs n >= 1")
+    adj = g.adj
     v = rng.randrange(g.n)
     visited = {v}
     for _ in range(kappa):
-        options = [w for w in g.adj[v] if w not in visited]
+        options = [w for w in adj[v] if w not in visited]
         if not options:
             break
         v = options[rng.randrange(len(options))]

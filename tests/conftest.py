@@ -2,6 +2,7 @@ import random
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from centmax.errors import ParseError
 from centmax.graph import Graph, all_triangles
@@ -92,6 +93,16 @@ def random_graph(n, p, rng, directed=False):
     return Graph(n, edges, directed=directed)
 
 
+@st.composite
+def small_graphs(draw, max_n=12):
+    """A directed or undirected Graph on 0..max_n nodes with up to 3n
+    random edges: isolated nodes, self-loops and repeats included."""
+    n = draw(st.integers(0, max_n))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return Graph(n, edges, directed=draw(st.booleans()))
+
+
 def diamond_chain_edges(count):
     """Edges of `count` diamonds chained top to bottom: node 3i is the top
     of diamond i, 3i+1 and 3i+2 its sides, and 3(i+1) its bottom, so node
@@ -138,7 +149,7 @@ def largest_component_size(g, removed=()):
         while stack:
             v = stack.pop()
             size += 1
-            for w in g.weak_neighbors(v):
+            for w in set(g.adj[v]) | set(g.radj[v]):
                 if not seen[w] and w not in removed:
                     seen[w] = True
                     stack.append(w)

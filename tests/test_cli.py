@@ -429,6 +429,19 @@ class TestEvolve:
         assert len(rows) == 2
         assert rows[1].startswith("5,3,2,")
 
+    def test_negative_snapshots_take_either_form(self, tmp_path):
+        inp = write_graph(tmp_path, "0 1 -5\n1 2 0\n2 3 3\n3 0 -7\n",
+                          "t.txt")
+        texts = []
+        for form in (["--snapshots", "-5,0,3"], ["--snapshots=-5,0,3"]):
+            out = tmp_path / "e.csv"
+            assert run(["evolve", "--input", inp, *form, "--k-values", "1",
+                        "-o", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert [row.split(",")[0] for row in texts[0].splitlines()[2:]] \
+            == ["-5", "0", "3"]
+
     def test_zero_eps_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, "0 1 5\n1 2 5\n", "t.txt")
         assert run(["evolve", "--input", inp, "--snapshots", "5",

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centmax import exact, samplers
 from centmax.experiments import (attack_curve, centrality_ordering, evolve,
@@ -11,7 +13,8 @@ from centmax.experiments import (attack_curve, centrality_ordering, evolve,
 from centmax.graph import Graph, TemporalEdgeList, bfs_dag
 from centmax.samplers import SamplerSpec
 from conftest import complete_graph, exact_influence, \
-    largest_component_size, path_graph, random_graph, seeded, star_graph
+    largest_component_size, path_graph, random_graph, seeded, small_graphs, \
+    star_graph
 
 
 def temporal(records):
@@ -74,6 +77,15 @@ class TestAttackCurve:
             rng.shuffle(order)
             curve = attack_curve(g, order, n)
             assert curve.lcc_size == naive_curve(g, order, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_naive_recomputation_on_any_graph(self, data):
+        g = data.draw(small_graphs())
+        order = data.draw(st.permutations(range(g.n)))
+        cap = data.draw(st.integers(0, g.n))
+        assert (attack_curve(g, order, cap).lcc_size
+                == naive_curve(g, order, cap))
 
     def test_nonincreasing(self):
         g = random_graph(40, 0.1, seeded(3))

@@ -2,22 +2,22 @@ import math
 import operator
 from collections import deque
 from contextlib import suppress
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import graph, samplers
+from centmax import exact, experiments, graph, maximize, samplers
 from centmax.errors import ParseError
-from centmax.graph import (Graph, bfs_dag, bfs_dist_sigma,
+from centmax.graph import (Graph, all_triangles, bfs_dag, bfs_dist_sigma,
                            graph_from_labeled_edges, load_edge_list,
                            load_temporal_edge_list, write_edge_list)
 from conftest import complete_graph, cycle_graph, diamond_chain_edges, \
     eager_bfs_dag, largest_component_size, path_graph, random_graph, \
     reference_adjacency, reference_load, reference_relabel, reference_rows, \
-    seeded, star_graph
+    seeded, small_graphs, star_graph
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -253,7 +253,11 @@ class TestGraphBuild:
         g = Graph(n, edges, directed=directed)
         assert (g.adj, g.radj) == (adj, radj)
         assert g.m == sum(map(len, adj)) // (1 if directed else 2)
-        for (indptr, indices), lists in ((g.csr(), adj), (g.rcsr(), radj)):
+        assert list(g.edges()) == [(u, v) for u in range(n) for v in adj[u]
+                                   if directed or u < v]
+        weak = [sorted(set(a) | set(b)) for a, b in zip(adj, radj)]
+        for (indptr, indices), lists in ((g.csr(), adj), (g.rcsr(), radj),
+                                         (g.weak_csr(), weak)):
             assert indptr.tolist() == [0, *accumulate(map(len, lists))]
             assert indices.tolist() == [w for ws in lists for w in ws]
 
@@ -264,6 +268,50 @@ class TestGraphBuild:
     def test_first_bad_edge_in_input_order(self):
         with pytest.raises(ValueError, match=r"^edge \(0,9\) out of range"):
             Graph(3, [(0, 1), (0, 9), (-1, 2)])
+
+
+def no_lists(*args):
+    raise AssertionError("adjacency lists built")
+
+
+class TestAdjacencyLists:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_csr_readers_build_none(self, tmp_path, monkeypatch, directed):
+        monkeypatch.setattr(graph, "_lists", no_lists)
+        path = str(tmp_path / "g.txt")
+        write_edge_list(random_graph(40, 0.15, seeded(1), directed), path)
+        g = load_edge_list(path, directed=directed)
+        write_edge_list(g, str(tmp_path / "again.txt"))
+        maximize.hedge(g, samplers.SamplerSpec("rr-influence", p=0.2), 3,
+                       0.2, rng=seeded(2), budget=2000)
+        experiments.ic_spread(g, [0, 1], 0.2, runs=100, rng=seeded(3))
+        order = list(range(g.n))
+        seeded(4).shuffle(order)
+        experiments.attack_curve(g, order, g.n)
+        assert all_triangles(g)
+        exact.triangle_greedy(g, 3)
+        exact.brandes(g)
+        exact.set_bwc(g, {0, 1})
+        exact.ex_greedy(g, 2)
+        small = random_graph(10, 0.3, seeded(5), directed)
+        exact.exact_kpath(small, {0}, 3)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("spec", [samplers.SamplerSpec("betweenness"),
+                                      samplers.SamplerSpec("coverage"),
+                                      samplers.SamplerSpec("kpath", kappa=3)])
+    def test_per_draw_samplers_build_them_once(self, monkeypatch, directed,
+                                               spec):
+        calls, lists = [], graph._lists
+
+        def counted(*args):
+            calls.append(args)
+            return lists(*args)
+
+        monkeypatch.setattr(graph, "_lists", counted)
+        g = random_graph(40, 0.15, seeded(6), directed)
+        samplers.sample_many(g, spec, 2000, seeded(7))
+        assert len(calls) == (2 if directed and spec.kind != "kpath" else 1)
 
 
 def naive_bfs_dist(g, s):
@@ -365,6 +413,18 @@ class TestLazyPreds:
                 assert bfs_dag(g, s) == (dist, sigma)
 
 
+class TestTriangles:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_match_every_linked_triple(self, g):
+        def linked(a, b):
+            return b in g.adj[a] or a in g.adj[b]
+
+        assert all_triangles(g) == [
+            (a, b, c) for a, b, c in combinations(range(g.n), 3)
+            if linked(a, b) and linked(a, c) and linked(b, c)]
+
+
 def naive_component_count(g, removed=()):
     removed = set(removed)
     seen = set(removed)
@@ -378,7 +438,7 @@ def naive_component_count(g, removed=()):
         while stack:
             v = stack.pop()
             comp += 1
-            for w in g.weak_neighbors(v):
+            for w in set(g.adj[v]) | set(g.radj[v]):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
