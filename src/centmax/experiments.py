@@ -99,8 +99,8 @@ def ic_spread(g, seeds, p, runs=10000, rng=None):
     """Monte Carlo mean cascade size from a seed set: each directed edge is
     live independently with probability p, re-flipped per cascade.  The
     cascades run forward through samplers._live_keys, in batches of about
-    samplers._CHUNK reached cells, from one numpy generator that rng
-    seeds."""
+    samplers._CHUNK reached cells, from one numpy generator that rng seeds;
+    each level draws only its live arcs, and none at p = 0 or 1."""
     if runs < 1:
         raise ValueError("runs must be positive")
     samplers.check_p(p)

@@ -4,7 +4,8 @@ Each sampler emits a random node set h with Pr(h intersects S) = C(S)/alpha
 for every S, where C is the centrality being estimated and alpha its
 normalizer.  Samplers are pure functions of (graph, parameters, rng) and are
 exact: path choices use integer path-count ratios, never floats.  RR sets
-are drawn in numpy batches from one generator seeded by rng.
+are drawn in numpy batches from one generator seeded by rng; each BFS level
+draws only its live arcs, as geometric gaps between them.
 
 Many hyper-edges travel as one CSR pair (edge_ptr, edge_nodes): hyper-edge
 i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]].  On their way to a pool
@@ -13,21 +14,20 @@ CSR pair.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import bfs_dag, bfs_dist_sigma, _CACHE_MAX_N
+from .graph import bfs_dag, bfs_dist_sigma, _CACHE_MAX_N, _distinct
 
 KINDS = ("betweenness", "coverage", "kpath", "rr-influence")
 
 # Samples per batch of sample_chunks (about the reached cells per batch of
-# ic_spread), and arcs per coin-flip draw of _live_keys: they bound the
-# transient arrays of one batch.
+# ic_spread): it bounds the transient arrays of one batch.
 _CHUNK = 1 << 16
-_ARC_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -268,15 +268,16 @@ def _rr_chunks(g, p, q, rng):
         b = min(_CHUNK, q - start)
         target = gen.integers(n, size=b)
         # The first level of every set at once: a set whose target has no
-        # live in-arc is the target alone, and only the others go on.  A
-        # Graph has no self-loops, so every head found here is new.
+        # live in-arc is the target alone, and only the others go on,
+        # renumbered in order.  A Graph has no self-loops, so every head
+        # found here is new.
         run, node = np.divmod(
-            _live_step(rcsr, np.arange(b, dtype=np.int64) * n + target, p,
-                       gen), n)
-        rows, rank = np.unique(run, return_inverse=True)
-        frontier = rank * n + node
-        reached = np.union1d(np.arange(rows.size) * n + target[rows],
-                             frontier)
+            _live_step(rcsr, np.arange(b, dtype=np.int64), target, p, gen), n)
+        rows = _distinct(run)
+        frontier = np.searchsorted(rows, run) * n + node
+        starts = np.arange(rows.size) * n + target[rows]
+        reached = np.insert(frontier, np.searchsorted(frontier, starts),
+                            starts)
         samp, nodes = np.divmod(_live_keys(rcsr, reached, p, gen, frontier),
                                 n)
         single = target.copy()
@@ -285,40 +286,58 @@ def _rr_chunks(g, p, q, rng):
         yield Split(single, rows, ptr, nodes)
 
 
-def _live_step(csr, frontier, p, gen):
-    """Sorted distinct keys run * n + node of the heads of the live arcs of
-    csr = (indptr, indices) on n nodes out of the sorted frontier keys.  Each
-    arc is flipped once, live with probability p, in frontier then arc
-    order."""
+def _live_positions(total, p, gen):
+    """Sorted positions of the live arcs among `total` arcs, each live
+    independently with probability p.  Only the live arcs are drawn, as
+    geometric gaps (skip sampling), in blocks sized from the expected count
+    still to come; gaps past the last arc are drawn and discarded.  How much
+    of gen this consumes depends only on (total, p) and the draws; p = 0
+    and p = 1 draw nothing."""
+    if p == 0.0 or total == 0:
+        return np.zeros(0, dtype=np.int64)
+    if p == 1.0:
+        return np.arange(total, dtype=np.int64)
+    blocks, last = [], -1
+    while last < total - 1:
+        expect = p * (total - 1 - last)
+        gaps = gen.geometric(p, int(expect + 3 * math.sqrt(expect)) + 16)
+        # Below p of about 1e-300 a gap reads 2**63 - 1; capped, the sum
+        # cannot wrap.
+        pos = last + np.cumsum(np.minimum(gaps, total + 1))
+        blocks.append(pos[pos < total])
+        last = int(pos[-1])
+    return np.concatenate(blocks)
+
+
+def _live_step(csr, run, node, p, gen):
+    """Sorted distinct keys run * n + head of the heads of the live arcs of
+    csr = (indptr, indices) on n nodes out of the frontier cells
+    (run[i], node[i]), given in increasing key order.  Each arc is flipped
+    once, live with probability p, in frontier then arc order; only the
+    live ones are drawn (_live_positions)."""
     indptr, indices = csr
-    n = indptr.size - 1
-    run, node = np.divmod(frontier, n)
     stops = indptr[node + 1]
     ends = np.cumsum(stops - indptr[node])
-    total = int(ends[-1])
-    if total == 0:
-        return frontier[:0]
-    # Arc j of the frontier's concatenated arc lists is live; the draw is
-    # split in blocks, which leaves the stream unchanged.
-    live = np.concatenate([
-        lo + np.flatnonzero(gen.random(min(_ARC_BLOCK, total - lo)) < p)
-        for lo in range(0, total, _ARC_BLOCK)])
+    live = _live_positions(int(ends[-1]), p, gen)
     owner = np.searchsorted(ends, live, side="right")
     # Arc j of frontier cell i is indices[stops[i] - ends[i] + j].
-    return np.unique(run[owner] * n + indices[live + (stops - ends)[owner]])
+    heads = indices[live + (stops - ends)[owner]]
+    return _distinct(np.sort(run[owner] * (indptr.size - 1) + heads))
 
 
 def _live_keys(csr, reached, p, gen, frontier=None):
     """Sorted keys run * n + node of the nodes that a batch of live-edge
     runs reaches from the sorted keys `reached`, by one level-synchronous
-    BFS over the arcs of csr (see _live_step).  The BFS expands `frontier`
-    first, a subset of `reached` that defaults to all of it.
+    BFS over the arcs of csr (see _live_step, which draws only the live
+    arcs of a level).  The BFS expands `frontier` first, a subset of
+    `reached` that defaults to all of it.
 
     Over the out-CSR a run is an independent cascade from its start nodes;
     over the in-CSR, with one start node, it is an RR set."""
+    n = csr[0].size - 1
     frontier = reached if frontier is None else frontier
     while frontier.size:
-        keys = _live_step(csr, frontier, p, gen)
+        keys = _live_step(csr, *np.divmod(frontier, n), p, gen)
         pos = np.searchsorted(reached, keys)
         fresh = reached[np.minimum(pos, reached.size - 1)] != keys
         frontier = keys[fresh]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from centmax.errors import ParseError
 from centmax.graph import Graph, all_triangles
+from centmax.samplers import _live_positions
 
 
 def reference_adjacency(n, edges, directed=False):
@@ -197,8 +198,8 @@ def naive_cover(edges, n, k, alpha_value=1.0):
 def reference_rr_many(g, p, q, rng, chunk):
     """q RR sets as one draw-ordered CSR pair, drawn in batches of at most
     `chunk` sets: every target's key enters one level-synchronous BFS over
-    the in-CSR, arcs flipped in key then arc order from one numpy generator
-    that rng seeds."""
+    the in-CSR, arcs flipped in key then arc order by
+    samplers._live_positions from one numpy generator that rng seeds."""
     gen = np.random.default_rng(rng.getrandbits(64))
     sizes, nodes = [], []
     for start in range(0, q, chunk):
@@ -215,7 +216,9 @@ def reference_rr_many(g, p, q, rng, chunk):
 
 def reference_live_keys(csr, start, p, gen):
     """Sorted keys run * n + node reached from the sorted start keys by a
-    level-synchronous live-edge BFS over csr = (indptr, indices)."""
+    level-synchronous live-edge BFS over csr = (indptr, indices): each
+    level's live arcs are samplers._live_positions of its arcs, in key then
+    arc order, and its heads are deduped by np.unique."""
     indptr, indices = csr
     n = indptr.size - 1
     frontier = reached = start
@@ -226,7 +229,7 @@ def reference_live_keys(csr, start, p, gen):
         total = int(ends[-1])
         if total == 0:
             break
-        live = np.flatnonzero(gen.random(total) < p)
+        live = _live_positions(total, p, gen)
         owner = np.searchsorted(ends, live, side="right")
         keys = np.unique(run[owner] * n
                          + indices[live + (stops - ends)[owner]])

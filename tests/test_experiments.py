@@ -174,12 +174,10 @@ class TestLiveEdgeCascades:
             assert ic_spread(g, seeds, p, runs=7, rng=seeded(1)) == cells
             assert runs_per_batch == batches
 
-    @pytest.mark.parametrize("block", [1, 5])
-    def test_arc_block_leaves_the_spread_unchanged(self, block, monkeypatch):
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-18])
+    def test_tiny_p_spreads_only_the_seeds(self, p):
         g = random_graph(40, 0.1, seeded(4))
-        want = ic_spread(g, [1, 5], 0.3, runs=500, rng=seeded(3))
-        monkeypatch.setattr(samplers, "_ARC_BLOCK", block)
-        assert ic_spread(g, [1, 5], 0.3, runs=500, rng=seeded(3)) == want
+        assert ic_spread(g, [1, 5], p, runs=500, rng=seeded(3)) == 2.0
 
     def test_empty_seeds_spread_nothing(self):
         assert ic_spread(complete_graph(4), [], 0.5, rng=seeded(0)) == 0.0

@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import permutations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from centmax import exact, samplers
 from centmax.graph import Graph, bfs_dag
 from centmax.maximize import build_pool
-from centmax.samplers import (KINDS, SamplerSpec, alpha, dump_hyperedges,
-                              pack, sample, sample_bwc, sample_coverage,
-                              sample_kpath, sample_many, sample_rr)
+from centmax.samplers import (KINDS, SamplerSpec, _live_positions, alpha,
+                              dump_hyperedges, pack, sample, sample_bwc,
+                              sample_coverage, sample_kpath, sample_many,
+                              sample_rr)
 from conftest import complete_graph, cycle_graph, eager_bfs_dag, \
     edge_sets, exact_influence, load_hyperedges, path_graph, random_graph, \
     reference_rr_many, seeded
@@ -443,12 +445,12 @@ class TestRRBatch:
         assert [sample_rr(g, 0.5, seeded(i)) for i in range(50)] == \
             [sample_rr(g, 0.5, seeded(i)) for i in range(50)]
 
-    def test_arc_blocks_leave_the_stream_unchanged(self, monkeypatch):
-        g = random_graph(40, 0.1, seeded(10), directed=True)
-        spec = SamplerSpec("rr-influence", p=0.3)
-        whole = edge_sets(sample_many(g, spec, 3000, seeded(11)))
-        monkeypatch.setattr(samplers, "_ARC_BLOCK", 5)
-        assert edge_sets(sample_many(g, spec, 3000, seeded(11))) == whole
+    def test_tiny_p_gives_only_the_targets(self):
+        g = random_graph(40, 0.2, seeded(10), directed=True)
+        ptr, nodes = sample_many(g, SamplerSpec("rr-influence", p=5e-324),
+                                 3000, seeded(11))
+        assert np.diff(ptr).tolist() == [1] * 3000
+        assert len(set(nodes.tolist())) == g.n
 
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 1.0])
@@ -481,6 +483,107 @@ class TestRRBatch:
         chunks = list(samplers.sample_chunks(
             g, SamplerSpec("rr-influence", p=0.5), 30, seeded(12)))
         assert [len(edge_sets(c)) for c in chunks] == [7, 7, 7, 7, 2]
+
+
+class GapSpy:
+    """A numpy generator whose geometric draws are recorded: the size of
+    each call, and the gaps it returned.  With `dense`, the gaps are drawn
+    at min(1, p * dense), so a block runs out of gaps before the last
+    arc.  A draw that asks for more than 100 blocks fails."""
+
+    def __init__(self, seed, dense=1):
+        self.gen, self.dense = np.random.default_rng(seed), dense
+        self.sizes, self.gaps = [], []
+
+    def geometric(self, p, size):
+        self.sizes.append(size)
+        assert len(self.sizes) <= 100, "the draw does not end"
+        self.gaps.append(self.gen.geometric(min(1.0, p * self.dense), size))
+        return self.gaps[-1]
+
+
+class TestLivePositions:
+    """samplers._live_positions: the live arcs among `total`, drawn as
+    geometric gaps."""
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("total", [0, 1, 10 ** 5])
+    def test_p_zero_and_one_draw_nothing(self, total, p):
+        gen = np.random.default_rng(1)
+        state = gen.bit_generator.state
+        live = _live_positions(total, p, gen)
+        assert gen.bit_generator.state == state
+        assert live.tolist() == (list(range(total)) if p == 1.0 else [])
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.7])
+    @pytest.mark.parametrize("total", [1, 5, 1000])
+    def test_strictly_increasing_within_range(self, total, p):
+        gen = np.random.default_rng(2)
+        for _ in range(300):
+            live = _live_positions(total, p, gen)
+            assert live.dtype == np.int64
+            assert np.all(np.diff(live) > 0)
+            assert np.all((live >= 0) & (live < total))
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.7])
+    def test_each_arc_live_with_probability_p(self, p):
+        total, draws = 200, 4000
+        gen = np.random.default_rng(3)
+        hits = np.zeros(total)
+        for _ in range(draws):
+            hits[_live_positions(total, p, gen)] += 1
+        sigma = math.sqrt(p * (1 - p) / draws)
+        assert np.all(np.abs(hits / draws - p) <= 4 * sigma)
+        # One long draw: its count is Binomial(10^6, p).
+        count = _live_positions(10 ** 6, p, gen).size
+        assert abs(count - p * 10 ** 6) <= 4 * math.sqrt(p * (1 - p) * 10 ** 6)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.7])
+    def test_same_seed_same_positions(self, p):
+        a = [_live_positions(t, p, np.random.default_rng(5))
+             for t in (10, 10 ** 4)]
+        b = [_live_positions(t, p, np.random.default_rng(5))
+             for t in (10, 10 ** 4)]
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+
+    @pytest.mark.parametrize("dense", [1, 3])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.7])
+    @pytest.mark.parametrize("total", [1, 50, 10 ** 5])
+    def test_positions_are_the_running_sum_of_the_gaps(self, total, p, dense):
+        # Gaps drawn at 3p fall short of the last arc, so the draw goes on
+        # in further blocks from where the last one stopped.
+        spy = GapSpy(6, dense)
+        live = _live_positions(total, p, spy)
+        pos = np.cumsum(np.concatenate(spy.gaps)) - 1
+        assert live.tobytes() == pos[pos < total].tobytes()
+        # Every block but the last stops short of the last arc.
+        ends = np.cumsum([g.sum() for g in spy.gaps]) - 1
+        assert np.all(ends[:-1] < total - 1) and ends[-1] >= total - 1
+        if dense == 1:
+            assert len(spy.sizes) == 1
+        elif total == 10 ** 5:
+            assert len(spy.sizes) > 1
+
+    @pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.7, 1 - 1e-9])
+    @pytest.mark.parametrize("total", [1, 1000, 10 ** 6])
+    def test_largest_draw_is_about_the_expected_count(self, total, p):
+        # Each block asks for its expected count of gaps plus a margin of
+        # three standard deviations and 16.
+        spy = GapSpy(7)
+        _live_positions(total, p, spy)
+        expect = p * total
+        assert 1 <= max(spy.sizes) <= expect + 3 * math.sqrt(expect) + 16
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-18])
+    def test_tiny_p_is_sorted_and_nearly_empty(self, p):
+        # numpy gives a gap of 2**63 - 1 at p of about 1e-300 or less, and
+        # gaps near 10^18 at p = 1e-18: summed uncapped, they wrap.
+        for seed in range(20):
+            spy = GapSpy(seed)
+            live = _live_positions(10 ** 6, p, spy)
+            assert live.size <= 1
+            assert np.all((live >= 0) & (live < 10 ** 6))
+            assert len(spy.sizes) == 1
 
 
 class TestDispatchAndDump:
