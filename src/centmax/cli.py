@@ -110,12 +110,13 @@ def _sampler_spec(args):
 
 
 def _resolve_budget(args, n):
+    """The pool size a --budget preset names; None for theory, which
+    maximize.hedge computes itself."""
     b = args.budget
     if b.startswith("explicit:"):
         return int(b.split(":", 1)[1])
     if b == "theory":
-        return maximize.sample_budget(n, args.k, args.eps / 2.0, args.ell,
-                                      args.maxk_scaled)
+        return None
     if b == "paper-exp":
         return maximize.experiment_budget(n, args.k, args.eps)
     if b == "equal-yalg":
@@ -195,12 +196,8 @@ def cmd_attack(args):
         raise UsageError(f"cap={args.cap} must be non-negative")
     g = _load_graph(args)
     rng = random.Random(args.seed)
-    if args.sampler == "triangle":
-        ordering = experiments.centrality_ordering(g, "triangle", rng,
-                                                   eps=args.eps)
-    else:
-        ordering = experiments.centrality_ordering(g, _sampler_spec(args),
-                                                   rng, eps=args.eps)
+    spec = "triangle" if args.sampler == "triangle" else _sampler_spec(args)
+    ordering = experiments.centrality_ordering(g, spec, rng, eps=args.eps)
     cap = min(args.cap, g.n)
     curve = experiments.attack_curve(g, ordering, cap)
     with _open_out(args.output) as fh:

@@ -46,15 +46,22 @@ class AttackCurve:
 
 def attack_curve(g, ordering, cap):
     """Largest weakly connected component size for every removal prefix
-    0..cap, via reverse insertion with union-find (near-linear total)."""
+    0..cap, via reverse insertion with union-find (near-linear total).
+    ValueError unless the first cap entries of ordering are distinct ids in
+    0..n-1."""
     if not 0 <= cap <= g.n:
         raise ValueError(f"cap={cap} is outside 0..n={g.n}")
-    indptr, indices = g.weak_csr()
-    bounds, flat = indptr.tolist(), indices.tolist()
     prefix = list(ordering[:cap])
     removed = set(prefix)
+    if len(removed) < cap or not all(0 <= v < g.n for v in removed):
+        raise ValueError(f"the first cap={cap} entries of the ordering are "
+                         f"not distinct ids in 0..{g.n - 1}")
+    indptr, indices = g.weak_csr()
+    bounds, flat = indptr.tolist(), indices.tolist()
     parent = list(range(g.n))
     size = [1] * g.n
+    active = [False] * g.n
+    best = 0
 
     def find(x):
         while parent[x] != x:
@@ -72,35 +79,31 @@ def attack_curve(g, ordering, cap):
         size[ra] += size[rb]
         return size[ra]
 
-    active = [v not in removed for v in range(g.n)]
-    best = 0
-    sizes = [0] * (cap + 1)
-    for u in range(g.n):
-        if not active[u]:
-            continue
-        for v in flat[bounds[u]:bounds[u + 1]]:
-            if u < v and active[v]:
-                best = max(best, union(u, v))
-    if any(active):
-        best = max(best, 1)
-    sizes[cap] = best
-    for i in range(cap - 1, -1, -1):
-        u = prefix[i]
+    def insert(u):
+        nonlocal best
         active[u] = True
         best = max(best, 1)
         for v in flat[bounds[u]:bounds[u + 1]]:
             if active[v]:
                 best = max(best, union(u, v))
-        sizes[i] = best
-    return AttackCurve(list(range(cap + 1)), sizes)
+
+    for u in range(g.n):
+        if u not in removed:
+            insert(u)
+    sizes = [best]
+    for u in reversed(prefix):
+        insert(u)
+        sizes.append(best)
+    return AttackCurve(list(range(cap + 1)), sizes[::-1])
 
 
 def ic_spread(g, seeds, p, runs=10000, rng=None):
     """Monte Carlo mean cascade size from a seed set: each directed edge is
     live independently with probability p, re-flipped per cascade.  The
-    cascades run forward through samplers._live_keys, in batches of about
-    samplers._CHUNK reached cells, from one numpy generator that rng seeds;
-    each level draws only its live arcs, and none at p = 0 or 1."""
+    cascades run forward through samplers._live_keys, in batches sized by
+    the reached cells as RR sets are (samplers._batch), from one numpy
+    generator that rng seeds; each level draws only its live arcs, and none
+    at p = 0 or 1."""
     if runs < 1:
         raise ValueError("runs must be positive")
     samplers.check_p(p)
@@ -111,10 +114,7 @@ def ic_spread(g, seeds, p, runs=10000, rng=None):
     gen = np.random.default_rng(rng.getrandbits(64))
     reached = done = 0
     while done < runs:
-        # One run first; then as many runs as hold about _CHUNK reached
-        # cells at the mean cascade size so far.
-        cells = reached / done if done else samplers._CHUNK
-        b = min(max(1, int(samplers._CHUNK // cells)), runs - done)
+        b = samplers._batch(done, reached, runs)
         keys = (np.arange(b, dtype=np.int64)[:, None] * g.n + seeds).ravel()
         reached += samplers._live_keys(g.csr(), keys, p, gen).size
         done += b

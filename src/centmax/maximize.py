@@ -22,6 +22,13 @@ from .errors import SizeError
 # bytes per node; every other one costs 8 bytes of edge_ptr plus 16 bytes
 # per node it holds (edge_nodes and node_edges).
 _POOL_GUARD = 10 ** 7
+# Most nodes build_pool stores in the hyper-edges of two or more nodes;
+# an RR set at p = 0.3 on kron:14 holds about 750.  The pool keeps 16
+# bytes per stored node, but building it peaks at about 48: the drawn
+# chunks, their concatenation, split's copy, and the owner, key and sorted
+# arrays of the index sort in from_edges.  So 10^8 nodes keep 1.6 GB and
+# peak near 4.8 GB.
+_NODE_GUARD = 10 ** 8
 
 
 @dataclass(eq=False)
@@ -170,12 +177,18 @@ def check_k(k, n):
 
 def build_pool(g, spec, q, rng):
     """The pool of q independent hyper-edges drawn in order from rng.  The
-    one-node and empty ones are counted chunk by chunk, as they are drawn."""
+    one-node and empty ones are counted chunk by chunk, as they are drawn;
+    SizeError once the others hold more than _NODE_GUARD nodes, before the
+    next chunk is drawn."""
     check_pool_size(q)
     singles = np.zeros(g.n, dtype=np.int64)
-    empties = 0
+    empties = stored = 0
     multi = []
     for chunk in samplers.split_chunks(g, spec, q, rng):
+        stored += chunk.nodes.size
+        if stored > _NODE_GUARD:
+            raise SizeError(f"the pool's hyper-edges hold over {_NODE_GUARD}"
+                            " nodes, which exceeds the guard")
         ones, none = chunk.counts(g.n)
         singles += ones
         empties += none

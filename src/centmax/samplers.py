@@ -4,8 +4,9 @@ Each sampler emits a random node set h with Pr(h intersects S) = C(S)/alpha
 for every S, where C is the centrality being estimated and alpha its
 normalizer.  Samplers are pure functions of (graph, parameters, rng) and are
 exact: path choices use integer path-count ratios, never floats.  RR sets
-are drawn in numpy batches from one generator seeded by rng; each BFS level
-draws only its live arcs, as geometric gaps between them.
+are drawn in numpy batches sized by the cells they reach, from one generator
+seeded by rng; each BFS level draws only its live arcs, as geometric gaps
+between them.
 
 Many hyper-edges travel as one CSR pair (edge_ptr, edge_nodes): hyper-edge
 i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]].  On their way to a pool
@@ -25,8 +26,11 @@ from .graph import bfs_dag, bfs_dist_sigma, _CACHE_MAX_N, _distinct
 
 KINDS = ("betweenness", "coverage", "kpath", "rr-influence")
 
-# Samples per batch of sample_chunks (about the reached cells per batch of
-# ic_spread): it bounds the transient arrays of one batch.
+# It bounds the reached cells of one batch of live-edge runs, RR sets or
+# ic_spread's cascades, at the mean reach of the runs before it (see
+# _batch), and so the transient arrays of the batch.  The per-draw
+# samplers (pair and kappa-path) still pack _CHUNK draws per chunk, until
+# they too draw in batches.
 _CHUNK = 1 << 16
 
 
@@ -255,17 +259,30 @@ def sample_rr(g, p, rng):
     return frozenset(expand(next(_rr_chunks(g, p, 1, rng)))[1].tolist())
 
 
+def _batch(done, cells, q):
+    """Size of the next batch of q live-edge runs, when `done` runs reached
+    `cells` cells in all: as many runs as hold about _CHUNK cells at the
+    mean reach so far, but at least one, at most `done` and at most the
+    q - done left.  So batches ramp 1, 1, 2, 4, ... until the reach caps
+    them, and no single early run sets the size."""
+    if done == 0:
+        return 1
+    return max(1, min(done, q - done, _CHUNK * done // cells))
+
+
 def _rr_chunks(g, p, q, rng):
-    """q RR sets as Split chunks of at most _CHUNK sets (nodes in increasing
-    order within a set), drawn from one numpy generator that rng seeds."""
+    """q RR sets as Split chunks, one per batch of _batch's size (nodes in
+    increasing order within a set), drawn from one numpy generator that
+    rng seeds."""
     check_p(p)
     n = g.n
     if n < 1:
         raise ValueError("rr sampler needs n >= 1")
     rcsr = g.rcsr()
     gen = np.random.default_rng(rng.getrandbits(64))
-    for start in range(0, q, _CHUNK):
-        b = min(_CHUNK, q - start)
+    done = cells = 0
+    while done < q:
+        b = _batch(done, cells, q)
         target = gen.integers(n, size=b)
         # The first level of every set at once: a set whose target has no
         # live in-arc is the target alone, and only the others go on,
@@ -283,6 +300,8 @@ def _rr_chunks(g, p, q, rng):
         single = target.copy()
         single[rows] = -1
         ptr = np.searchsorted(samp, np.arange(rows.size + 1))
+        done += b
+        cells += b - rows.size + nodes.size
         yield Split(single, rows, ptr, nodes)
 
 

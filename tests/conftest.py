@@ -196,22 +196,30 @@ def naive_cover(edges, n, k, alpha_value=1.0):
 
 
 def reference_rr_many(g, p, q, rng, chunk):
-    """q RR sets as one draw-ordered CSR pair, drawn in batches of at most
-    `chunk` sets: every target's key enters one level-synchronous BFS over
-    the in-CSR, arcs flipped in key then arc order by
-    samplers._live_positions from one numpy generator that rng seeds."""
+    """(CSR pair, batch sizes) of q RR sets drawn in draw order, in batches
+    that ramp 1, 1, 2, 4, ...: after `done` sets that reached `cells` nodes
+    in all, the next batch takes chunk * done // cells sets, at least one,
+    at most `done` and at most the sets left.  Every target's key enters
+    one level-synchronous BFS over the in-CSR, arcs flipped in key then arc
+    order by samplers._live_positions from one numpy generator that rng
+    seeds."""
     gen = np.random.default_rng(rng.getrandbits(64))
-    sizes, nodes = [], []
-    for start in range(0, q, chunk):
-        b = min(chunk, q - start)
+    sizes, nodes, batches = [], [], []
+    done = cells = 0
+    while done < q:
+        b = (max(1, min(done, q - done, chunk * done // cells)) if done
+             else 1)
         targets = (np.arange(b, dtype=np.int64) * g.n
                    + gen.integers(g.n, size=b))
         samp, node = np.divmod(reference_live_keys(g.rcsr(), targets, p, gen),
                                g.n)
         sizes.append(np.diff(np.searchsorted(samp, np.arange(b + 1))))
         nodes.append(node)
-    return (np.concatenate(([0], np.concatenate(sizes).cumsum())),
-            np.concatenate(nodes))
+        batches.append(b)
+        done += b
+        cells += node.size
+    return ((np.concatenate(([0], np.concatenate(sizes).cumsum())),
+             np.concatenate(nodes)), batches)
 
 
 def reference_live_keys(csr, start, p, gen):

@@ -6,9 +6,9 @@ from collections import Counter
 
 import pytest
 
-from centmax import exact, experiments, samplers
+from centmax import exact, experiments, maximize, samplers
 from centmax.cli import _load_graph, main
-from centmax.maximize import build_pool
+from centmax.maximize import build_pool, sample_budget
 from centmax.generators import gen_kronecker, gen_ran
 from centmax.graph import write_edge_list
 from conftest import diamond_chain_edges, edge_sets
@@ -54,6 +54,14 @@ class TestMaximize:
         data = json.loads(out.read_text())
         # 2 ln(2*64)/0.25 = 38.8 -> 39
         assert data["sample_count"] == 39
+
+    def test_theory_budget_halves_eps(self, tmp_path):
+        inp = write_graph(tmp_path, P4)
+        out = tmp_path / "t.json"
+        assert run(["maximize", "--input", inp, "--k", "1", "--eps", "0.5",
+                    "--budget", "theory", "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["sample_count"] == sample_budget(4, 1, 0.25) == 134
 
     def test_byte_identical_reruns(self, tmp_path):
         inp = write_graph(tmp_path, P4)
@@ -116,6 +124,22 @@ class TestMaximize:
         assert run(["maximize", "--gen", "ran:50", "--k", "2",
                     "--budget", "theory", "--maxk-scaled", "1e-6"]) == 3
         assert "exceeds the guard" in capsys.readouterr().err
+
+    def test_pool_over_the_node_guard_is_size_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        argv = ["maximize", "--gen", "kron:12", "--sampler", "rr", "--p",
+                "0.3", "--k", "2", "--budget", "explicit:200", "--seed", "4"]
+        g = _load_graph(argparse.Namespace(gen="kron:12", seed=4))
+        stored = build_pool(g, samplers.SamplerSpec("rr-influence", p=0.3),
+                            200, random.Random(4)).edge_nodes.size
+        out = tmp_path / "m.json"
+        monkeypatch.setattr(maximize, "_NODE_GUARD", stored - 1)
+        assert run(argv + ["-o", str(out)]) == 3
+        assert "exceeds the guard" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(maximize, "_NODE_GUARD", stored)
+        assert run(argv + ["-o", str(out)]) == 0
+        assert json.loads(out.read_text())["sample_count"] == 200
 
 
 class TestExact:

@@ -63,6 +63,17 @@ class TestAttackCurve:
         curve = attack_curve(star_graph(3), [0, 1, 2, 3], 1)
         assert curve.lcc_size == [4, 1]
 
+    @pytest.mark.parametrize("ordering", [[1, 2], [1, 4, 2], [1, -1, 2],
+                                          [1, 1, 2]])
+    def test_bad_ordering_prefix_is_refused(self, ordering):
+        # Too short, an id out of range, a repeated id.
+        with pytest.raises(ValueError, match=r"not distinct ids in 0\.\.3"):
+            attack_curve(path_graph(4), ordering, 3)
+
+    def test_entries_past_cap_are_not_read(self):
+        curve = attack_curve(path_graph(4), [1, 0, 0, 9], 2)
+        assert curve.lcc_size == [4, 2, 2]
+
     def test_empty_prefix_is_intact_lcc(self):
         g = random_graph(30, 0.1, seeded(1))
         curve = attack_curve(g, list(range(g.n)), 0)
@@ -149,8 +160,9 @@ class TestLiveEdgeCascades:
         assert a == ic_spread(g, [0, 7, 9], 0.4, runs=3000, rng=seeded(8))
         assert a != ic_spread(g, [0, 7, 9], 0.4, runs=3000, rng=seeded(9))
 
-    @pytest.mark.parametrize("per, batches", [(1, [1] * 7), (2, [1, 2, 2, 2]),
-                                              (None, [1, 6])])
+    @pytest.mark.parametrize("per, batches", [(1, [1] * 7),
+                                              (2, [1, 1, 2, 2, 1]),
+                                              (None, [1, 1, 2, 3])])
     @pytest.mark.parametrize("directed", [False, True])
     def test_p_zero_and_one_exact_at_every_batch_size(
             self, per, batches, directed, monkeypatch):
@@ -168,7 +180,8 @@ class TestLiveEdgeCascades:
         monkeypatch.setattr(samplers, "_live_keys", spy)
         for p, cells in ((0.0, len(seeds)), (1.0, len(reach))):
             if per is not None:
-                # After one run, a batch holds _CHUNK // cells runs.
+                # A batch holds _CHUNK // cells runs, once the ramp
+                # 1, 1, 2, 4, ... of at most the runs done reaches that.
                 monkeypatch.setattr(samplers, "_CHUNK", per * cells)
             runs_per_batch.clear()
             assert ic_spread(g, seeds, p, runs=7, rng=seeded(1)) == cells

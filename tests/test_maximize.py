@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact, samplers
+from centmax import exact, maximize, samplers
 from centmax.errors import SizeError
 from centmax.graph import Graph
 from centmax.maximize import (HyperEdgePool, build_pool, equal_budget,
@@ -83,6 +83,30 @@ class TestBuildPool:
         with pytest.raises(SizeError):
             build_pool(path_graph(5), SamplerSpec("betweenness"), 10 ** 7 + 1,
                        seeded(0))
+
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    def test_stored_nodes_over_the_guard_is_size_error(self, share,
+                                                       monkeypatch):
+        g = random_graph(30, 0.2, seeded(4), directed=True)
+        spec = SamplerSpec("rr-influence", p=0.3)
+        stored = build_pool(g, spec, 300, seeded(5)).edge_nodes.size
+        drawn, split_chunks = [], samplers.split_chunks
+
+        def spy(*args):
+            for chunk in split_chunks(*args):
+                drawn.append(chunk.nodes.size)
+                yield chunk
+        monkeypatch.setattr(samplers, "split_chunks", spy)
+        monkeypatch.setattr(maximize, "_NODE_GUARD", stored)
+        assert build_pool(g, spec, 300, seeded(5)).edge_nodes.size == stored
+        guard = int(share * stored) - 1
+        monkeypatch.setattr(maximize, "_NODE_GUARD", guard)
+        drawn.clear()
+        with pytest.raises(SizeError, match="exceeds the guard"):
+            build_pool(g, spec, 300, seeded(5))
+        # Refused at the chunk that passed the guard, before the next one.
+        assert len(drawn) > 1
+        assert sum(drawn[:-1]) <= guard < sum(drawn)
 
     def test_incidence_inverse_of_membership(self):
         g = random_graph(15, 0.25, seeded(2))

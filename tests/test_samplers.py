@@ -466,23 +466,43 @@ class TestRRBatch:
         chunk = rng.choice((3, 7, 50))
         q = rng.randrange(1, 4 * chunk)
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
-        want = reference_rr_many(g, p, q, seeded(case), chunk)
+        want, batches = reference_rr_many(g, p, q, seeded(case), chunk)
         spec = SamplerSpec("rr-influence", p=p)
         got = sample_many(g, spec, q, seeded(case))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert [len(edge_sets(c)) for c in
-                samplers.sample_chunks(g, spec, q, seeded(case))] == \
-            [min(chunk, q - i) for i in range(0, q, chunk)]
+                samplers.sample_chunks(g, spec, q, seeded(case))] == batches
         pool = build_pool(g, spec, q, seeded(case))
         assert len(pool) == q
         assert Counter(edge_sets(pool)) == Counter(edge_sets(got))
 
-    def test_batches_of_chunk_size(self, monkeypatch):
-        monkeypatch.setattr(samplers, "_CHUNK", 7)
-        g = RR_GRAPHS["directed"]
+    @pytest.mark.parametrize("p, chunk, batches", [
+        # Every set is its target alone: 5 cells hold 5 sets.
+        (0.0, 5, [1, 1, 2, 4, 5, 5, 5, 5, 2]),
+        # Every set is the whole cycle: 3n cells hold 3 sets.
+        (1.0, 3 * 9, [1, 1, 2, 3, 3, 3, 3, 3, 1])])
+    def test_batches_ramp_up_to_chunk_cells(self, p, chunk, batches,
+                                            monkeypatch):
+        monkeypatch.setattr(samplers, "_CHUNK", chunk)
+        g = Graph(9, [(i, (i + 1) % 9) for i in range(9)], directed=True)
         chunks = list(samplers.sample_chunks(
-            g, SamplerSpec("rr-influence", p=0.5), 30, seeded(12)))
-        assert [len(edge_sets(c)) for c in chunks] == [7, 7, 7, 7, 2]
+            g, SamplerSpec("rr-influence", p=p), sum(batches), seeded(12)))
+        assert [len(edge_sets(c)) for c in chunks] == batches
+
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5, 10])
+    def test_batch_cells_bounded_when_the_first_set_is_small(self, seed,
+                                                             monkeypatch):
+        # A directed 20-cycle plus 5 isolated nodes at p = 1: a set is one
+        # node or 20.  Every seed here draws an isolated target first, so a
+        # batch sized by the first set alone would take _CHUNK sets.
+        monkeypatch.setattr(samplers, "_CHUNK", 40)
+        g = Graph(25, [(i, (i + 1) % 20) for i in range(20)], directed=True)
+        chunks = list(samplers.split_chunks(
+            g, SamplerSpec("rr-influence", p=1.0), 2000, seeded(seed)))
+        cells = [int((c.single >= 0).sum()) + c.nodes.size for c in chunks]
+        assert sum(c.single.size for c in chunks) == 2000
+        assert max(cells) <= 2 * 40 + g.n
+        assert cells[0] == 1
 
 
 class GapSpy:
