@@ -3,10 +3,12 @@
 All pair sums use the ordered-pair convention and count only internal path
 nodes.  The betweenness and coverage oracles read one numpy BFS sweep over
 blocks of sources, with float64 path counts sigma and set-avoiding counts
-tau.  set_bwc,
-exact_coverage and brute_force_max refuse counts above 2^53 (SizeError), so
-theirs are exact integers, and set_bwc sums the correctly rounded per-pair
-ratios with math.fsum, so results do not depend on accumulation order.
+tau.  set_bwc, exact_coverage and brute_force_max refuse counts above 2^53
+(SizeError), so theirs are exact integers, and set_bwc sums the correctly
+rounded per-pair ratios with math.fsum, so results do not depend on
+accumulation order.  ex_greedy holds the BFS blocks across its rounds and
+narrows them each round to the DAG arcs that a path avoiding the chosen
+set can still use, so a round skips the pairs earlier picks cover.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ _BLOCK_CELLS = 2 ** 13
 
 # ex_greedy holds the BFS blocks (path counts and DAG arcs) of its graph
 # up to this many bytes, so every round reuses them; blocks past it are
-# swept again each round.  ran:1000 takes about 14 MB.
+# swept again each round.  ran:1000 takes about 14 MB before the first
+# pick; each round narrows the held arcs, so the held bytes only shrink.
 _HELD_BYTES = 2 ** 25
 
 
@@ -42,7 +45,7 @@ def brandes(g):
 
 def _node_set(g, nodes):
     """The distinct ids of `nodes`; ValueError if one is outside 0..n-1."""
-    nodes = set(nodes)
+    nodes = frozenset(nodes)
     for v in nodes:
         if not 0 <= v < g.n:
             raise ValueError(f"node {v} out of range")
@@ -67,14 +70,18 @@ def _hit_fractions(g, nodes, blocks=None):
     with tau < sigma: the fraction of the pair's shortest paths that have
     an internal node in `nodes`.  SizeError if a path count exceeds 2^53."""
     blocked = list(_node_set(g, nodes))
+    held = blocks or ()
+    # _check_exact recounts paths over every arc, so no held block may
+    # have been narrowed.
+    _check_held(held, frozenset())
     if not blocked:
         return
     unblocked = np.ones(g.n)
     unblocked[blocked] = 0.0
-    for block in _blocks(g, blocks or ()):
+    for block in _blocks(g, held):
         _check_exact(block)
         sigma = block.sigma
-        tau = _avoiding(block, np.tile(unblocked, len(block.origin)))
+        tau, _ = _avoiding(block, np.tile(unblocked, len(block.origin)))
         hit = tau < sigma
         yield (1.0 - tau[hit] / sigma[hit]).tolist()
 
@@ -105,17 +112,42 @@ def adaptive_bwc_all(g, nodes, blocks=None):
     _BLOCK_CELLS // n, as flat (source, node) cells; path counts are
     float64, and a count that overflows raises SizeError.
 
-    `blocks` holds the BFS blocks of the first sources, as `_held_blocks`
-    returns them; the sources past them are swept afresh.  Without it
-    every block is swept and dropped in turn.
+    `blocks` is a list of the BFS blocks of the first sources, as
+    `_held_blocks` returns it; the sources past them are swept afresh.
+    Without it every block is swept and dropped in turn.  Each held block
+    is replaced in the list by its narrowing for `nodes`: only the arcs
+    that a path avoiding `nodes` still uses.  That is valid only while the
+    set grows, as in ex_greedy, so ValueError if a held block was narrowed
+    for a set that `nodes` does not contain.
     """
-    n = g.n
-    unblocked = np.ones(n)
-    unblocked[list(_node_set(g, nodes))] = 0.0
-    marg = np.zeros(n)
-    for block in _blocks(g, blocks or ()):
-        marg += _dependency(block, unblocked)
+    nodes = _node_set(g, nodes)
+    held = [] if blocks is None else blocks
+    _check_held(held, nodes)
+    unblocked = np.ones(g.n)
+    unblocked[list(nodes)] = 0.0
+    marg = np.zeros(g.n)
+    for i, block in enumerate(_blocks(g, held)):
+        cell_open = np.tile(unblocked, len(block.origin))
+        tau = block.sigma
+        if nodes:
+            tau, levels = _avoiding(block, cell_open)
+            block = block._replace(levels=levels, narrowed=nodes)
+            if i < len(held):
+                held[i] = block
+        marg += _dependency(block, tau, cell_open)
     return (marg * unblocked).tolist()
+
+
+def _check_held(held, nodes):
+    """ValueError unless every held block was narrowed for a subset of
+    `nodes`: an arc dropped for a set may carry paths avoiding a smaller
+    one."""
+    for block in held:
+        if not block.narrowed <= nodes:
+            raise ValueError(f"held blocks were narrowed for the set "
+                             f"{sorted(block.narrowed)}; only "
+                             f"adaptive_bwc_all for a superset may read "
+                             f"them")
 
 
 def _blocks(g, held=()):
@@ -149,10 +181,12 @@ class _Block(NamedTuple):
     node) pairs numbered i * n + node.  `origin` holds the source cells,
     `sigma` the shortest-path count of every cell (0 if unreached), and
     levels[i] the DAG arcs (parent cells, child cells) into distance
-    i + 1."""
+    i + 1.  A block narrowed for the set `narrowed` keeps only the arcs
+    that a shortest path avoiding it can use (see _avoiding)."""
     origin: np.ndarray
     sigma: np.ndarray
     levels: list
+    narrowed: frozenset = frozenset()
 
     def nbytes(self):
         return (self.origin.nbytes + self.sigma.nbytes
@@ -195,23 +229,19 @@ def _bfs_block(g, sources):
     return _Block(origin, sigma, levels)
 
 
-def _dependency(block, unblocked):
-    """Passes 2 and 3 of the sweep: the sum over the block's sources of
-    tau(u) * delta(u) per node u, where tau counts the source-to-u
-    shortest paths whose internal nodes are unblocked and delta(u) sums,
-    over targets t beyond u, the unblocked continuations from u to t
-    divided by sigma(t).  Endpoints are exempt from the block."""
-    origin, sigma, levels = block
-    size = sigma.size
-    cell_open = np.tile(unblocked, len(origin))
-    tau = sigma if unblocked.all() else _avoiding(block, cell_open)
-    # Pass 3: backward accumulation; a blocked child adds only itself as
-    # a target.
-    inv = np.zeros(size)
+def _dependency(block, tau, cell_open):
+    """Pass 3 of the sweep: the sum over the block's sources of
+    tau(u) * delta(u) per node u, where tau (pass 2) counts the
+    source-to-u shortest paths whose internal nodes are open and delta(u)
+    sums, over targets t beyond u, the open continuations from u to t
+    divided by sigma(t).  Endpoints are exempt from the set."""
+    origin, sigma = block.origin, block.sigma
+    # Backward accumulation; a blocked child adds only itself as a target.
+    inv = np.zeros(sigma.size)
     reached = sigma > 0
     inv[reached] = 1.0 / sigma[reached]
-    delta = np.zeros(size)
-    for parent, child in reversed(levels):
+    delta = np.zeros(sigma.size)
+    for parent, child in reversed(block.levels):
         contrib = inv[child] + delta[child] * cell_open[child]
         np.add.at(delta, parent, contrib)
     dep = tau * delta
@@ -222,21 +252,35 @@ def _dependency(block, unblocked):
 def _avoiding(block, cell_open):
     """Pass 2 of the sweep: per cell, tau, the count of the source-to-node
     shortest paths whose internal nodes are open (`cell_open` 1.0, blocked
-    0.0).  A blocked parent passes nothing on, except the source itself."""
-    origin, sigma, levels = block
+    0.0).  A blocked parent passes nothing on, except the source itself.
+
+    Also returns the levels narrowed to the arcs that pass something on:
+    those out of the source or out of an open cell with tau > 0, up to the
+    first level that keeps none.  As the set grows tau can only fall, so a
+    dropped arc passes nothing on for any larger set either; it changes
+    delta only at cells where tau * delta is 0 or that are blocked."""
+    origin, sigma = block.origin, block.sigma
     tau = np.zeros(sigma.size)
     tau[origin] = 1.0
-    for i, (parent, child) in enumerate(levels):
+    levels = []
+    for i, (parent, child) in enumerate(block.levels):
         weight = tau[parent] if i == 0 else tau[parent] * cell_open[parent]
+        live = weight > 0
+        count = np.count_nonzero(live)
+        if not count:
+            break
+        if count < live.size:
+            parent, child, weight = parent[live], child[live], weight[live]
         np.add.at(tau, child, weight)
-    return tau
+        levels.append((parent, child))
+    return tau, levels
 
 
 def ex_greedy(g, k):
     """Exhaustive greedy: k rounds of exact best-marginal picks (ties to the
     smaller id).  Returns (selected, per-round exact set betweenness).
     The BFS pass runs once: every round reuses the blocks held within
-    _HELD_BYTES."""
+    _HELD_BYTES, which adaptive_bwc_all narrows for the growing set."""
     check_k(k, g.n)
     held = _held_blocks(g)
     chosen = []

@@ -24,10 +24,10 @@ from .errors import SizeError
 _POOL_GUARD = 10 ** 7
 # Most nodes build_pool stores in the hyper-edges of two or more nodes;
 # an RR set at p = 0.3 on kron:14 holds about 750.  The pool keeps 16
-# bytes per stored node, but building it peaks at about 48: the drawn
-# chunks, their concatenation, split's copy, and the owner, key and sorted
-# arrays of the index sort in from_edges.  So 10^8 nodes keep 1.6 GB and
-# peak near 4.8 GB.
+# bytes per stored node, and building it peaks at about 24: the drawn
+# chunks and their concatenation, then the concatenated nodes, the key of
+# the index sort and the owner array it is built from.  So 10^8 nodes
+# keep 1.6 GB and peak near 2.4 GB.
 _NODE_GUARD = 10 ** 8
 
 
@@ -69,10 +69,15 @@ class HyperEdgePool:
             counts += singles
         empties += more
         # Sorting the distinct keys node * |pool| + edge groups the edges by
-        # node, each group in increasing order.
+        # node, each group in increasing order.  The key is built and
+        # sorted in place, so the index holds at most three arrays the
+        # size of edge_nodes at once.
         size = max(edge_ptr.size - 1, 1)
-        owner = np.repeat(np.arange(edge_ptr.size - 1), np.diff(edge_ptr))
-        node_edges = np.sort(edge_nodes * size + owner) % size
+        node_edges = edge_nodes * size
+        node_edges += np.repeat(np.arange(edge_ptr.size - 1),
+                                np.diff(edge_ptr))
+        node_edges.sort()
+        node_edges %= size
         node_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(edge_nodes, minlength=n), out=node_ptr[1:])
         arrays = (edge_ptr, edge_nodes, node_ptr, node_edges, counts)
@@ -193,8 +198,10 @@ def build_pool(g, spec, q, rng):
         singles += ones
         empties += none
         multi.append((chunk.ptr, chunk.nodes))
-    return HyperEdgePool.from_edges(samplers.concat(multi), g.n,
-                                    samplers.alpha(spec, g), singles, empties)
+    edges = samplers.concat(multi)
+    del multi
+    return HyperEdgePool.from_edges(edges, g.n, samplers.alpha(spec, g),
+                                    singles, empties)
 
 
 def greedy_cover(pool, k):

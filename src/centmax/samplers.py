@@ -132,15 +132,19 @@ class Split(NamedTuple):
 
 
 def split(ptr, nodes):
-    """The Split of the draws in a CSR pair."""
+    """The Split of the draws in a CSR pair; it shares `nodes` when every
+    draw holds two or more."""
     sizes = np.diff(ptr)
     single = np.full(sizes.size, -1, dtype=np.int64)
     one = sizes == 1
     single[one] = nodes[ptr[:-1][one]]
-    rows = np.flatnonzero(sizes > 1)
+    multi = sizes > 1
+    rows = np.flatnonzero(multi)
     multi_ptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(sizes[rows], out=multi_ptr[1:])
-    return Split(single, rows, multi_ptr, nodes[np.repeat(sizes > 1, sizes)])
+    if rows.size < sizes.size:
+        nodes = nodes[np.repeat(multi, sizes)]
+    return Split(single, rows, multi_ptr, nodes)
 
 
 def expand(chunk):

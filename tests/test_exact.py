@@ -27,6 +27,23 @@ def adaptive_bwc(g, u, nodes):
     return set_bwc(g, nodes | {u}) - set_bwc(g, nodes)
 
 
+def reference_ex_greedy(g, k):
+    """ex_greedy with nothing held: each round sweeps every source block
+    afresh for the chosen set, so no narrowed block is ever read."""
+    chosen, scores, total = [], [], 0.0
+    for _ in range(k):
+        marg = adaptive_bwc_all(g, chosen)
+        best = None
+        for v in range(g.n):
+            if v not in chosen and (best is None
+                                    or marg[v] > marg[best] + 1e-12):
+                best = v
+        chosen.append(best)
+        total += marg[best]
+        scores.append(total)
+    return chosen, scores
+
+
 def triangle_count(g, nodes):
     """Number of triangles intersecting the node set."""
     nodes = set(nodes)
@@ -219,6 +236,66 @@ class TestSweep:
         g = Graph(3 * 1100 + 1, diamond_chain_edges(1100))
         with pytest.raises(SizeError):
             brandes(g)
+
+
+class TestNarrowing:
+    """adaptive_bwc_all narrows the held blocks it is given to the arcs
+    that a path avoiding the set still uses; ex_greedy's later rounds
+    read only those."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_sets(1, 16), st.integers(1, 300))
+    def test_ex_greedy_matches_the_unheld_reference(self, case,
+                                                    block_cells):
+        g, _ = case
+        with patched(_BLOCK_CELLS=block_cells):
+            picks, scores = ex_greedy(g, g.n)
+            want, want_scores = reference_ex_greedy(g, g.n)
+        assert picks == want
+        assert [s.hex() for s in scores] == [s.hex() for s in want_scores]
+
+    @pytest.mark.parametrize("block_cells", [1, exact._BLOCK_CELLS])
+    @pytest.mark.parametrize("g, centre", [(star_graph(5), 0),
+                                           (path_graph(3), 1),
+                                           (path_graph(3, directed=True), 1)])
+    def test_a_picked_centre_leaves_the_level_0_arcs(self, g, centre,
+                                                     block_cells,
+                                                     monkeypatch):
+        # Every path of two or more arcs runs through the centre, so once
+        # it is picked only the arcs out of each source are held.
+        lists, held_blocks = [], exact._held_blocks
+
+        def spy(graph):
+            lists.append(held_blocks(graph))
+            return lists[-1]
+        monkeypatch.setattr(exact, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(exact, "_held_blocks", spy)
+        blocks = held_blocks(g)
+        assert any(len(b.levels) > 1 for b in blocks)
+        first = [b.levels[:1] for b in blocks]
+        assert ex_greedy(g, 2)[0][0] == centre
+        held, = lists
+        assert len(held) == len(first)
+        for block, want in zip(held, first):
+            assert block.narrowed == {centre}
+            assert len(block.levels) == len(want)
+            for (parent, child), (p, c) in zip(block.levels, want):
+                assert parent.tolist() == p.tolist()
+                assert child.tolist() == c.tolist()
+
+    def test_a_set_without_the_narrowed_one_raises(self):
+        g = path_graph(5)
+        held = exact._held_blocks(g)
+        adaptive_bwc_all(g, {2}, held)
+        for call in (lambda: adaptive_bwc_all(g, (), held),
+                     lambda: adaptive_bwc_all(g, {1}, held),
+                     lambda: set_bwc(g, {2}, held),
+                     lambda: set_bwc(g, {1, 2}, held)):
+            with pytest.raises(ValueError, match="narrowed for"):
+                call()
+        # A larger set may read them, and gets the floats of a fresh sweep.
+        assert (adaptive_bwc_all(g, {1, 2}, held)
+                == adaptive_bwc_all(g, {1, 2}))
 
 
 class TestBrandes:

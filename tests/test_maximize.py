@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact, maximize, samplers
+from centmax import exact, generators, maximize, samplers
 from centmax.errors import SizeError
 from centmax.graph import Graph
 from centmax.maximize import (HyperEdgePool, build_pool, equal_budget,
@@ -107,6 +108,23 @@ class TestBuildPool:
         # Refused at the chunk that passed the guard, before the next one.
         assert len(drawn) > 1
         assert sum(drawn[:-1]) <= guard < sum(drawn)
+
+    def test_peak_memory_per_stored_node(self):
+        # The pool keeps 16 bytes per stored node; building it must not hold
+        # the drawn chunks, their concatenation and a split copy at once.
+        g = generators.gen_kronecker([[0.9, 0.5], [0.5, 0.2]], 12,
+                                     seeded(1))
+        g.rcsr()
+        tracemalloc.start()
+        try:
+            pool = build_pool(g, SamplerSpec("rr-influence", p=0.3), 4000,
+                              seeded(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = pool.edge_nodes.size
+        assert stored > 10 ** 5
+        assert peak <= 36 * stored
 
     def test_incidence_inverse_of_membership(self):
         g = random_graph(15, 0.25, seeded(2))
