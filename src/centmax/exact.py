@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SizeError
-from .graph import all_triangles
+from .graph import all_triangles, arc_cells
 from .maximize import HyperEdgePool, check_k, greedy_cover
 
 _BRUTE_FORCE_GUARD = 10 ** 7
@@ -195,7 +195,7 @@ class _Block(NamedTuple):
 
 def _bfs_block(g, sources):
     """Level-synchronous BFS of every source in `sources` at once."""
-    indptr, indices = g.csr()
+    csr = g.csr()
     n = g.n
     size = len(sources) * n
     origin = np.arange(len(sources)) * n + sources
@@ -208,14 +208,7 @@ def _bfs_block(g, sources):
     # A path count that overflows to inf raises SizeError below.
     with np.errstate(over="ignore"):
         while True:
-            nodes = frontier % n
-            starts = indptr[nodes]
-            counts = indptr[nodes + 1] - starts
-            first = np.cumsum(counts) - counts
-            nbr = indices[np.arange(int(counts.sum()))
-                          + np.repeat(starts - first, counts)]
-            parent = np.repeat(frontier, counts)
-            child = np.repeat(frontier - nodes, counts) + nbr
+            parent, child = arc_cells(csr, frontier, n)
             fresh = dist[child] < 0
             parent, child = parent[fresh], child[fresh]
             if not child.size:

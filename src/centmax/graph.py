@@ -18,6 +18,10 @@ from .errors import ParseError
 # draw many hyper-edges from the same small graph.
 _CACHE_MAX_N = 2048
 
+# fill_dag_cache BFSes _FILL_CELLS // n sources at once, so the (source,
+# node) arrays of a block hold about this many cells.
+_FILL_CELLS = 2 ** 14
+
 
 class Graph:
     """Simple graph over dense integer ids, held as two CSR pairs with
@@ -152,10 +156,10 @@ def bfs_dag(g, s):
     hop distances with -1 for unreachable and exact shortest-path counts
     (Python ints, never overflow).
 
-    Cached on the graph for small n; treat the result as immutable.
+    Cached on the graph for small n, where fill_dag_cache also puts rows;
+    treat the result as immutable.
     """
-    if not (0 <= s < g.n):
-        raise ValueError(f"source {s} out of range for n={g.n}")
+    _check_id(g, s, "source")
     if g.n <= _CACHE_MAX_N and s in g._dag_cache:
         return g._dag_cache[s]
     adj = g.adj
@@ -184,50 +188,96 @@ def bfs_dag(g, s):
     return dist, sigma
 
 
+def _check_id(g, v, what):
+    if not (0 <= v < g.n):
+        raise ValueError(f"{what} {v} out of range for n={g.n}")
+
+
+def fill_dag_cache(g, sources):
+    """Put bfs_dag(g, s) into g's cache for every s in `sources` not yet
+    in it.  The uncached sources are BFSed _FILL_CELLS // n at a time by
+    _bfs_cells; a block whose counts could overflow int64 goes through
+    bfs_dag's list BFS instead, once per source."""
+    todo = sorted({s for s in sources if s not in g._dag_cache})
+    if todo:
+        _check_id(g, todo[0], "source")
+        _check_id(g, todo[-1], "source")
+    step = max(1, _FILL_CELLS // g.n)
+    for lo in range(0, len(todo), step):
+        block = todo[lo:lo + step]
+        rows = _bfs_cells(g, np.array(block, dtype=np.int64))
+        if rows is None:
+            for s in block:
+                bfs_dag(g, s)
+            continue
+        g._dag_cache.update(zip(block, zip(rows[0].tolist(),
+                                           rows[1].tolist())))
+
+
 def bfs_dist_sigma(g, s, stop_at=None):
-    """Level-synchronous numpy BFS returning (dist, sigma), as bfs_dag does.
+    """Numpy BFS from s returning (dist, sigma), as bfs_dag does: the one
+    source run of _bfs_cells.
 
     dist is int64 with -1 for unreachable.  sigma is int64; if counts risk
     overflowing, it is bfs_dag's list of exact counts.  If stop_at is given,
     levels beyond dist[stop_at] are not expanded (sigma is then only valid
     for nodes at distance <= dist[stop_at]).
     """
-    indptr, indices = g.csr()
+    _check_id(g, s, "source")
+    if stop_at is not None:
+        _check_id(g, stop_at, "stop_at")
+    rows = _bfs_cells(g, np.array([s], dtype=np.int64), stop_at)
+    if rows is None:
+        dist, sigma = bfs_dag(g, s)
+        return np.array(dist, dtype=np.int64), sigma
+    return rows[0][0], rows[1][0]
+
+
+def _bfs_cells(g, sources, stop_at=None):
+    """Level-synchronous BFS of every source in `sources` at once, over
+    flat cells i * n + v for source i and node v: (dist, sigma) as int64
+    arrays of shape (len(sources), n), with exact path counts.  None once
+    a frontier count exceeds 2**62 // n, past which the next level's sums
+    could overflow int64.  With stop_at (one source only), levels beyond
+    dist[stop_at] are not expanded."""
     n = g.n
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.int64)
-    dist[s] = 0
-    sigma[s] = 1
-    frontier = np.array([s], dtype=np.int64)
-    level = 0
-    limit = (2 ** 62) // max(n, 2)
+    csr = g.csr()
+    origin = np.arange(sources.size) * n + sources
+    dist = np.full(origin.size * n, -1, dtype=np.int64)
+    sigma = np.zeros(origin.size * n, dtype=np.int64)
+    dist[origin] = 0
+    sigma[origin] = 1
+    limit = 2 ** 62 // max(n, 2)
+    frontier, level = origin, 0
     while frontier.size:
-        if stop_at is not None and dist[stop_at] == level:
+        if stop_at is not None and dist[stop_at] >= 0:
             break
-        counts = indptr[frontier + 1] - indptr[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        flat = np.repeat(indptr[frontier], counts) + _ranges(counts)
-        nbrs = indices[flat]
-        src = np.repeat(frontier, counts)
-        fresh = dist[nbrs] == -1
-        if fresh.any():
-            dist[nbrs[fresh]] = level + 1
-        sel = dist[nbrs] == level + 1
         if int(sigma[frontier].max()) > limit:
-            dist, sigma = bfs_dag(g, s)
-            return np.array(dist, dtype=np.int64), sigma
-        np.add.at(sigma, nbrs[sel], sigma[src[sel]])
-        frontier = np.unique(nbrs[fresh])
+            return None
+        parent, child = arc_cells(csr, frontier, n)
+        fresh = dist[child] < 0
+        parent, child = parent[fresh], child[fresh]
         level += 1
-    return dist, sigma
+        dist[child] = level
+        # int64 sums: exact below the guard, unlike a float64 bincount.
+        np.add.at(sigma, child, sigma[parent])
+        frontier = np.flatnonzero(dist == level)
+    return dist.reshape(-1, n), sigma.reshape(-1, n)
 
 
-def _ranges(counts):
-    """Concatenated arange(c) for each c in counts, as one flat array."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+def arc_cells(csr, frontier, n):
+    """(parent, child) cells of every arc out of the frontier cells, over
+    csr = (indptr, indices) on n nodes: cell i * n + v has a child
+    i * n + w for each arc v -> w, in frontier then arc order."""
+    indptr, indices = csr
+    nodes = frontier % n
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    first = np.cumsum(counts) - counts
+    nbr = indices[np.arange(int(counts.sum()))
+                  + np.repeat(starts - first, counts)]
+    return (np.repeat(frontier, counts),
+            np.repeat(frontier - nodes, counts) + nbr)
 
 
 @dataclass

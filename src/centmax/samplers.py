@@ -6,7 +6,8 @@ normalizer.  Samplers are pure functions of (graph, parameters, rng) and are
 exact: path choices use integer path-count ratios, never floats.  RR sets
 are drawn in numpy batches sized by the cells they reach, from one generator
 seeded by rng; each BFS level draws only its live arcs, as geometric gaps
-between them.
+between them.  A chunk of pair draws takes all its pairs from rng before it
+walks any, so that their sources can be BFSed in numpy blocks first.
 
 Many hyper-edges travel as one CSR pair (edge_ptr, edge_nodes): hyper-edge
 i holds edge_nodes[edge_ptr[i]:edge_ptr[i + 1]].  On their way to a pool
@@ -22,15 +23,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import bfs_dag, bfs_dist_sigma, _CACHE_MAX_N, _distinct
+from .graph import (bfs_dag, bfs_dist_sigma, fill_dag_cache,
+                    _CACHE_MAX_N, _distinct)
 
 KINDS = ("betweenness", "coverage", "kpath", "rr-influence")
 
 # It bounds the reached cells of one batch of live-edge runs, RR sets or
 # ic_spread's cascades, at the mean reach of the runs before it (see
-# _batch), and so the transient arrays of the batch.  The per-draw
-# samplers (pair and kappa-path) still pack _CHUNK draws per chunk, until
-# they too draw in batches.
+# _batch), and so the transient arrays of the batch.  The pair samplers
+# draw _CHUNK pairs per chunk before they BFS any, and the kappa-path
+# sampler packs _CHUNK draws per chunk.
 _CHUNK = 1 << 16
 
 
@@ -82,9 +84,13 @@ def sample_chunks(g, spec, q, rng):
 
 def split_chunks(g, spec, q, rng):
     """The draws of sample_chunks as Split chunks.  RR sets come from numpy
-    batches; every other kind draws one sample() at a time."""
+    batches, pair draws from _pair_chunks; kpath draws one sample() at a
+    time."""
     if spec.kind == "rr-influence":
         yield from _rr_chunks(g, spec.p, q, rng)
+        return
+    if spec.kind in _PAIR_WALKS:
+        yield from _pair_chunks(g, _PAIR_WALKS[spec.kind], q, rng)
         return
     for start in range(0, q, _CHUNK):
         yield split(*pack([sample(g, spec, rng)
@@ -161,6 +167,8 @@ def expand(chunk):
 
 
 def _random_ordered_pair(n, rng):
+    if n < 2:
+        raise ValueError("pair samplers need n >= 2")
     s = rng.randrange(n)
     t = rng.randrange(n - 1)
     if t >= s:
@@ -168,25 +176,39 @@ def _random_ordered_pair(n, rng):
     return s, t
 
 
-def _pair_dag(g, rng):
-    """Draw a uniformly random ordered pair (s, t) and BFS forward from s.
+def _linked(g, s, t):
+    """False if t is surely unreachable from s: s has no out-arc or t no
+    in-arc.  A pair that fails it needs no BFS."""
+    return bool(g.adj[s]) and bool(g.radj[t])
 
-    None if t is unreachable from s or adjacent to it; otherwise
-    (t, dist, sigma), where dist and sigma index by node and are exact for
-    every node v with dist[v] <= dist[t].
+
+def _pair_dag(g, s, t):
+    """The forward BFS from s for the pair (s, t): None if t is unreachable
+    from s or adjacent to it; otherwise (dist, sigma), which index by node
+    and are exact for every node v with dist[v] <= dist[t].
     """
-    if g.n < 2:
-        raise ValueError("pair samplers need n >= 2")
-    s, t = _random_ordered_pair(g.n, rng)
-    if not g.adj[s] or not g.radj[t]:
-        return None  # t is unreachable; skip the BFS
+    if not _linked(g, s, t):
+        return None
     if g.n <= _CACHE_MAX_N:
         dist, sigma = bfs_dag(g, s)
     else:
         dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
     if dist[t] <= 1:
         return None
-    return t, dist, sigma
+    return dist, sigma
+
+
+def _pair_chunks(g, walk, q, rng):
+    """q pair draws as Split chunks of at most _CHUNK draws.  A chunk draws
+    all its pairs from rng first; for n <= _CACHE_MAX_N it then fills the
+    bfs_dag cache for their sources in numpy blocks (fill_dag_cache), and
+    last walks each pair, in draw order, with walk(g, s, t, rng)."""
+    for start in range(0, q, _CHUNK):
+        pairs = [_random_ordered_pair(g.n, rng)
+                 for _ in range(min(_CHUNK, q - start))]
+        if g.n <= _CACHE_MAX_N:
+            fill_dag_cache(g, [s for s, t in pairs if _linked(g, s, t)])
+        yield split(*pack([walk(g, s, t, rng) for s, t in pairs]))
 
 
 def _preds(g, dist, v):
@@ -199,10 +221,15 @@ def _preds(g, dist, v):
 def sample_bwc(g, rng):
     """Internal nodes of a uniformly random shortest path between a
     uniformly random ordered pair; empty if unreachable or adjacent."""
-    pair = _pair_dag(g, rng)
-    if pair is None:
-        return frozenset()
-    t, dist, sigma = pair
+    return frozenset(_walk_bwc(g, *_random_ordered_pair(g.n, rng), rng))
+
+
+def _walk_bwc(g, s, t, rng):
+    """sample_bwc's nodes for the pair (s, t), as a list from t's side."""
+    dag = _pair_dag(g, s, t)
+    if dag is None:
+        return []
+    dist, sigma = dag
     # Walk backward from t, picking each predecessor u with probability
     # sigma(u)/sigma(v); exact uniformity over all shortest paths.
     internal = []
@@ -215,17 +242,24 @@ def sample_bwc(g, rng):
                 v = u
                 break
         internal.append(v)
-    return frozenset(internal)
+    return internal
 
 
 def sample_coverage(g, rng):
     """All internal nodes lying on any shortest path of a random ordered
     pair (the ancestors of t in the shortest-path DAG of s, less s); empty
     if unreachable or adjacent."""
-    pair = _pair_dag(g, rng)
-    if pair is None:
-        return frozenset()
-    t, dist, _ = pair
+    return frozenset(_walk_coverage(g, *_random_ordered_pair(g.n, rng),
+                                    rng))
+
+
+def _walk_coverage(g, s, t, rng):
+    """sample_coverage's nodes for the pair (s, t), as a sorted list; rng
+    is not read."""
+    dag = _pair_dag(g, s, t)
+    if dag is None:
+        return []
+    dist = dag[0]
     seen = {t}
     stack = [t]
     while stack:
@@ -234,7 +268,10 @@ def sample_coverage(g, rng):
                 seen.add(u)
                 stack.append(u)
     seen.discard(t)
-    return frozenset(seen)
+    return sorted(seen)
+
+
+_PAIR_WALKS = {"betweenness": _walk_bwc, "coverage": _walk_coverage}
 
 
 def sample_kpath(g, kappa, rng):

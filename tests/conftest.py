@@ -104,14 +104,16 @@ def small_graphs(draw, max_n=12):
     return Graph(n, edges, directed=draw(st.booleans()))
 
 
-def diamond_chain_edges(count):
-    """Edges of `count` diamonds chained top to bottom: node 3i is the top
-    of diamond i, 3i+1 and 3i+2 its sides, and 3(i+1) its bottom, so node
-    3i has 2^i shortest paths from node 0."""
+def diamond_chain_edges(count, sides=2):
+    """Edges of `count` diamonds chained top to bottom, each with `sides`
+    side nodes: with w = sides + 1, node w*i is the top of diamond i,
+    w*i+1 .. w*i+sides its sides, and w*(i+1) its bottom, so node w*i has
+    sides^i shortest paths from node 0."""
+    w = sides + 1
     edges = []
     for i in range(count):
-        top, bottom = 3 * i, 3 * (i + 1)
-        for side in (top + 1, top + 2):
+        top, bottom = w * i, w * (i + 1)
+        for side in range(top + 1, bottom):
             edges += [(top, side), (side, bottom)]
     return edges
 
@@ -134,6 +136,50 @@ def eager_bfs_dag(g, s):
                 sigma[w] += sigma[v]
                 preds[w].append(v)
     return dist, sigma, [tuple(p) for p in preds]
+
+
+def reference_pair_many(g, kind, q, rng, chunk):
+    """CSR pair of q draws of the pair sampler `kind` ("betweenness" or
+    "coverage"), in chunks of `chunk` draws.  Each chunk draws its ordered
+    pairs (s, t) from rng first, then walks them in draw order over the
+    DAG of eager_bfs_dag(g, s).  A pair with t unreachable or adjacent is
+    empty.  Otherwise betweenness lists, from t's side, the interior of a
+    path that steps from v to its predecessor u with probability
+    sigma(u)/sigma(v): r = rng.randrange(sigma(v)), and the first u in id
+    order whose running sigma sum passes r.  Coverage lists, sorted, every
+    interior node of a shortest s-t path, and reads no more of rng."""
+    edges = []
+    for start in range(0, q, chunk):
+        pairs = []
+        for _ in range(min(chunk, q - start)):
+            s, t = rng.randrange(g.n), rng.randrange(g.n - 1)
+            pairs.append((s, t + 1 if t >= s else t))
+        for s, t in pairs:
+            dist, sigma, preds = eager_bfs_dag(g, s)
+            if dist[t] <= 1:
+                edges.append([])
+            elif kind == "coverage":
+                seen, stack = set(), [t]
+                while stack:
+                    for u in preds[stack.pop()]:
+                        if u != s and u not in seen:
+                            seen.add(u)
+                            stack.append(u)
+                edges.append(sorted(seen))
+            else:
+                path, v = [], t
+                while dist[v] > 1:
+                    r = rng.randrange(sigma[v])
+                    for u in sorted(preds[v]):
+                        r -= sigma[u]
+                        if r < 0:
+                            break
+                    path.append(u)
+                    v = u
+                edges.append(path)
+    ptr = np.zeros(len(edges) + 1, dtype=np.int64)
+    np.cumsum([len(h) for h in edges], out=ptr[1:])
+    return ptr, np.array([v for h in edges for v in h], dtype=np.int64)
 
 
 def largest_component_size(g, removed=()):

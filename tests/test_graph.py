@@ -400,6 +400,24 @@ class TestBfsDag:
         assert dist[-1] == -1 and sigma[-2] == 2 ** 62
 
 
+    @pytest.mark.parametrize("s, stop_at, message", [
+        (-1, None, "source -1"), (3, None, "source 3"),
+        (0, -1, "stop_at -1"), (0, 3, "stop_at 3")])
+    def test_vectorized_refuses_ids_out_of_range(self, s, stop_at, message):
+        # A flat-cell BFS would index a negative id from the end.
+        with pytest.raises(ValueError,
+                           match=f"^{message} out of range for n=3$"):
+            bfs_dist_sigma(path_graph(3), s, stop_at)
+
+    @pytest.mark.parametrize("s", [-1, 3])
+    def test_fill_refuses_sources_out_of_range(self, s):
+        g = path_graph(3)
+        with pytest.raises(ValueError,
+                           match=f"^source {s} out of range for n=3$"):
+            graph.fill_dag_cache(g, [1, s])
+        assert not g._dag_cache
+
+
 class TestLazyPreds:
     @pytest.mark.parametrize("directed", [False, True])
     def test_matches_the_eager_bfs(self, directed):

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact, samplers
-from centmax.graph import Graph, bfs_dag
+from centmax import exact, graph, samplers
+from centmax.graph import Graph, bfs_dag, fill_dag_cache
 from centmax.maximize import build_pool
 from centmax.samplers import (KINDS, SamplerSpec, _live_positions, alpha,
                               dump_hyperedges, pack, sample, sample_bwc,
                               sample_coverage, sample_kpath, sample_many,
                               sample_rr)
-from conftest import complete_graph, cycle_graph, eager_bfs_dag, \
-    edge_sets, exact_influence, load_hyperedges, path_graph, random_graph, \
-    reference_rr_many, seeded
+from conftest import complete_graph, cycle_graph, diamond_chain_edges, \
+    eager_bfs_dag, edge_sets, exact_influence, load_hyperedges, path_graph, \
+    random_graph, reference_pair_many, reference_rr_many, seeded
 
 
 class TestSpecAndAlpha:
@@ -318,6 +318,158 @@ class TestPairCore:
         numpy = sample_many(g, spec, 300, seeded(case))
         assert calls
         assert [a.tobytes() for a in cached] == [a.tobytes() for a in numpy]
+
+
+def graph_with_gaps(seed, directed):
+    """A sparse random graph on 30 nodes plus 3 isolated ones, so that
+    draws hit unreachable and adjacent pairs as well as longer ones."""
+    rng = seeded(seed)
+    core = sparse_graph(30, 2, rng, directed)
+    return Graph(33, list(core.edges()), directed=directed)
+
+
+def pair_kinds(g, q, rng):
+    """Counter of the pairs of q coverage draws from rng, by kind:
+    "unreachable", "adjacent" or "linked".  A coverage walk reads nothing
+    from rng, so the draws take their pairs one after another."""
+    kinds = Counter()
+    for _ in range(q):
+        s, t = samplers._random_ordered_pair(g.n, rng)
+        d = eager_bfs_dag(g, s)[0][t]
+        kinds["unreachable" if d < 0 else "adjacent" if d == 1
+              else "linked"] += 1
+    return kinds
+
+
+class TestPairChunks:
+    """A chunk of pair draws: all its pairs first, then the cache fill for
+    their sources, then the walks in draw order."""
+
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("chunk, q", [(40, 39), (40, 40), (40, 41),
+                                          (17, 3 * 17 + 2), (64, 200)])
+    def test_same_arrays_as_the_reference(self, chunk, q, directed, kind,
+                                          cached, monkeypatch):
+        g = graph_with_gaps(q + directed, directed)
+        monkeypatch.setattr(samplers, "_CHUNK", chunk)
+        if not cached:
+            monkeypatch.setattr(samplers, "_CACHE_MAX_N", 0)
+        want = reference_pair_many(g, kind, q, seeded(q), chunk)
+        got = sample_many(g, SamplerSpec(kind), q, seeded(q))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert bool(g._dag_cache) == cached
+        if kind == "coverage":
+            assert set(pair_kinds(g, q, seeded(q))) == {
+                "unreachable", "adjacent", "linked"}
+
+    @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
+    def test_a_single_draw_keeps_its_stream(self, kind):
+        # A batch of one is still "pair, then walk", as sample() draws it.
+        g = graph_with_gaps(5, False)
+        spec = SamplerSpec(kind)
+        for seed in range(40):
+            one = edge_sets(sample_many(g, spec, 1, seeded(seed)))
+            assert one == [sample(g, spec, seeded(seed))]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_walks_read_only_filled_rows(self, directed, monkeypatch):
+        # Every source a walk BFSes is in the cache before the walk reads
+        # it, and the fill BFSes each linked drawn source once.
+        g = graph_with_gaps(7 + directed, directed)
+        chunk, q = 50, 170
+        monkeypatch.setattr(samplers, "_CHUNK", chunk)
+        filled, walked = [], []
+
+        def cells(g, sources, stop_at=None, real=graph._bfs_cells):
+            filled.extend(sources.tolist())
+            return real(g, sources, stop_at)
+
+        def dag(g, s, real=samplers.bfs_dag):
+            assert s in g._dag_cache, "a walk read an unfilled source"
+            walked.append(s)
+            return real(g, s)
+        monkeypatch.setattr(graph, "_bfs_cells", cells)
+        monkeypatch.setattr(samplers, "bfs_dag", dag)
+        rng = seeded(3)
+        pairs = [samplers._random_ordered_pair(g.n, rng) for _ in range(q)]
+        linked = {s for s, t in pairs if g.adj[s] and g.radj[t]}
+        sample_many(g, SamplerSpec("betweenness"), q, seeded(3))
+        assert sorted(filled) == sorted(linked)
+        assert set(walked) == linked
+
+    @pytest.mark.parametrize("cells", [1, 100, graph._FILL_CELLS])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_fill_equals_the_list_bfs(self, directed, cells, monkeypatch):
+        monkeypatch.setattr(graph, "_FILL_CELLS", cells)
+        rng = seeded(11 + directed)
+        for _ in range(6):
+            n = rng.randrange(2, 45)
+            g = random_graph(n, rng.choice((0.03, 0.1, 0.3)), rng, directed)
+            fill_dag_cache(g, range(n))
+            assert sorted(g._dag_cache) == list(range(n))
+            for s in range(n):
+                dist, sigma = g._dag_cache[s]
+                assert (dist, sigma) == eager_bfs_dag(g, s)[:2]
+                assert all(type(x) is int for x in dist + sigma)
+
+    def test_fill_counts_stay_exact_past_2_53(self):
+        # 34 chained diamonds of three sides: node 4 * 34 has 3^34 paths
+        # from node 0, an odd count past 2^53 that float64 rounds, yet
+        # below the int64 guard of 2^62 // n.
+        count = 34
+        g = Graph(4 * count + 1, diamond_chain_edges(count, sides=3))
+        assert 2 ** 53 < 3 ** count <= 2 ** 62 // g.n
+        fill_dag_cache(g, [0, 4, 5, g.n - 1])
+        for s in (0, 4, 5, g.n - 1):
+            dist, sigma = g._dag_cache[s]
+            assert (dist, sigma) == eager_bfs_dag(g, s)[:2]
+            assert all(type(x) is int for x in sigma)
+        assert g._dag_cache[0][1][-1] == 3 ** count
+
+    def test_overflowing_block_is_swept_once(self, monkeypatch):
+        # 62 diamonds chained downward give 2^62 paths from node 0, past
+        # the int64 guard; the last node is isolated.  Only the first block
+        # of sources, which holds node 0, overflows: the numpy BFS sweeps
+        # every block once, and the list BFS runs once per source of the
+        # first block.
+        g = Graph(3 * 62 + 2, diamond_chain_edges(62), directed=True)
+        blocks, listed = [], []
+
+        def cells(g, sources, stop_at=None, real=graph._bfs_cells):
+            blocks.append(sources.tolist())
+            return real(g, sources, stop_at)
+
+        def dag(g, s, real=graph.bfs_dag):
+            listed.append(s)
+            return real(g, s)
+        monkeypatch.setattr(graph, "_bfs_cells", cells)
+        monkeypatch.setattr(graph, "bfs_dag", dag)
+        fill_dag_cache(g, reversed(range(g.n)))
+        step = graph._FILL_CELLS // g.n
+        assert blocks == [list(range(lo, min(lo + step, g.n)))
+                          for lo in range(0, g.n, step)]
+        assert listed == blocks[0]
+        fill_dag_cache(g, range(g.n))
+        assert len(blocks) == len(range(0, g.n, step))
+        assert listed == blocks[0]
+        for s in range(g.n):
+            dist, sigma = g._dag_cache[s]
+            assert (dist, sigma) == eager_bfs_dag(g, s)[:2]
+            assert all(type(x) is int for x in sigma)
+        assert g._dag_cache[0][1][-2] == 2 ** 62
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_one_node_refused_before_any_draw(self, cached, monkeypatch):
+        if not cached:
+            monkeypatch.setattr(samplers, "_CACHE_MAX_N", 0)
+        rng = seeded(1)
+        state = rng.getstate()
+        for kind in ("betweenness", "coverage"):
+            with pytest.raises(ValueError, match="pair samplers need n >= 2"):
+                sample_many(Graph(1, []), SamplerSpec(kind), 5, rng)
+        assert rng.getstate() == state
 
 
 class TestKPathSampler:
@@ -649,6 +801,24 @@ class TestUnbiasedness:
                 emp = sum(1 for h in pool if h & S) / draws
                 bound = 4 * math.sqrt(max(p * (1 - p), 1e-12) / draws) + 1e-9
                 assert abs(emp - p) <= bound
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_bwc_and_coverage_pools(self, directed):
+        # The pools of sample_many, whose chunks draw their pairs first.
+        rng = seeded(81 + directed)
+        g = random_graph(20, 0.15 if directed else 0.12, rng, directed)
+        n = g.n
+        draws = 50000
+        for kind, oracle in (("betweenness", exact.set_bwc),
+                             ("coverage", exact.exact_coverage)):
+            pool = edge_sets(sample_many(g, SamplerSpec(kind), draws,
+                                         seeded(83)))
+            for _ in range(5):
+                S = set(rng.sample(range(n), 2))
+                p = oracle(g, S) / (n * (n - 1))
+                emp = sum(1 for h in pool if h & S) / draws
+                bound = 4 * math.sqrt(max(p * (1 - p), 1e-12) / draws) + 1e-9
+                assert abs(emp - p) <= bound, (kind, S, emp, p)
 
     def test_kpath(self):
         rng = seeded(79)
