@@ -200,14 +200,14 @@ def _pair_dag(g, s, t):
 
 def _pair_chunks(g, walk, q, rng):
     """q pair draws as Split chunks of at most _CHUNK draws.  A chunk draws
-    all its pairs from rng first; for n <= _CACHE_MAX_N it then fills the
-    bfs_dag cache for their sources in numpy blocks (fill_dag_cache), and
-    last walks each pair, in draw order, with walk(g, s, t, rng)."""
+    all its pairs from rng first; it then fills the bfs_dag cache for
+    their sources in numpy blocks (fill_dag_cache, a no-op on graphs too
+    large to cache), and last walks each pair, in draw order, with
+    walk(g, s, t, rng)."""
     for start in range(0, q, _CHUNK):
         pairs = [_random_ordered_pair(g.n, rng)
                  for _ in range(min(_CHUNK, q - start))]
-        if g.n <= _CACHE_MAX_N:
-            fill_dag_cache(g, [s for s, t in pairs if _linked(g, s, t)])
+        fill_dag_cache(g, [s for s, t in pairs if _linked(g, s, t)])
         yield split(*pack([walk(g, s, t, rng) for s, t in pairs]))
 
 

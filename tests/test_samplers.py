@@ -356,6 +356,7 @@ class TestPairChunks:
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
         if not cached:
             monkeypatch.setattr(samplers, "_CACHE_MAX_N", 0)
+            monkeypatch.setattr(graph, "_CACHE_MAX_N", 0)
         want = reference_pair_many(g, kind, q, seeded(q), chunk)
         got = sample_many(g, SamplerSpec(kind), q, seeded(q))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -382,9 +383,9 @@ class TestPairChunks:
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
         filled, walked = [], []
 
-        def cells(g, sources, stop_at=None, real=graph._bfs_cells):
+        def cells(g, sources, *args, real=graph._bfs_cells, **kwargs):
             filled.extend(sources.tolist())
-            return real(g, sources, stop_at)
+            return real(g, sources, *args, **kwargs)
 
         def dag(g, s, real=samplers.bfs_dag):
             assert s in g._dag_cache, "a walk read an unfilled source"
@@ -402,7 +403,9 @@ class TestPairChunks:
     @pytest.mark.parametrize("cells", [1, 100, graph._FILL_CELLS])
     @pytest.mark.parametrize("directed", [False, True])
     def test_fill_equals_the_list_bfs(self, directed, cells, monkeypatch):
+        # No block gives up as thin, so that the sweep fills every row.
         monkeypatch.setattr(graph, "_FILL_CELLS", cells)
+        monkeypatch.setattr(graph, "_THIN_LEVEL_ARCS", 0)
         rng = seeded(11 + directed)
         for _ in range(6):
             n = rng.randrange(2, 45)
@@ -414,14 +417,18 @@ class TestPairChunks:
                 assert (dist, sigma) == eager_bfs_dag(g, s)[:2]
                 assert all(type(x) is int for x in dist + sigma)
 
-    def test_fill_counts_stay_exact_past_2_53(self):
+    def test_fill_counts_stay_exact_past_2_53(self, monkeypatch):
         # 34 chained diamonds of three sides: node 4 * 34 has 3^34 paths
         # from node 0, an odd count past 2^53 that float64 rounds, yet
-        # below the int64 guard of 2^62 // n.
+        # below the int64 guard of 2^62 // n.  The chain is thin, so the
+        # thin rule is off: the sweep, not the list BFS, fills the rows.
+        monkeypatch.setattr(graph, "_THIN_LEVEL_ARCS", 0)
+        gave_up, swept, listed = self.watch_fill(monkeypatch)
         count = 34
         g = Graph(4 * count + 1, diamond_chain_edges(count, sides=3))
         assert 2 ** 53 < 3 ** count <= 2 ** 62 // g.n
         fill_dag_cache(g, [0, 4, 5, g.n - 1])
+        assert swept == [[0, 4, 5, g.n - 1]] and not (gave_up or listed)
         for s in (0, 4, 5, g.n - 1):
             dist, sigma = g._dag_cache[s]
             assert (dist, sigma) == eager_bfs_dag(g, s)[:2]
@@ -430,16 +437,18 @@ class TestPairChunks:
 
     def test_overflowing_block_is_swept_once(self, monkeypatch):
         # 62 diamonds chained downward give 2^62 paths from node 0, past
-        # the int64 guard; the last node is isolated.  Only the first block
-        # of sources, which holds node 0, overflows: the numpy BFS sweeps
-        # every block once, and the list BFS runs once per source of the
-        # first block.
+        # the int64 guard; the last node is isolated.  The first block of
+        # sources, which holds node 0, overflows: the numpy BFS sweeps it
+        # once, and the list BFS then runs once per source, of that block
+        # and of every later one.  The thin rule, which would give up the
+        # chain's first block before it overflows, is off.
+        monkeypatch.setattr(graph, "_THIN_LEVEL_ARCS", 0)
         g = Graph(3 * 62 + 2, diamond_chain_edges(62), directed=True)
         blocks, listed = [], []
 
-        def cells(g, sources, stop_at=None, real=graph._bfs_cells):
+        def cells(g, sources, *args, real=graph._bfs_cells, **kwargs):
             blocks.append(sources.tolist())
-            return real(g, sources, stop_at)
+            return real(g, sources, *args, **kwargs)
 
         def dag(g, s, real=graph.bfs_dag):
             listed.append(s)
@@ -447,18 +456,71 @@ class TestPairChunks:
         monkeypatch.setattr(graph, "_bfs_cells", cells)
         monkeypatch.setattr(graph, "bfs_dag", dag)
         fill_dag_cache(g, reversed(range(g.n)))
-        step = graph._FILL_CELLS // g.n
-        assert blocks == [list(range(lo, min(lo + step, g.n)))
-                          for lo in range(0, g.n, step)]
-        assert listed == blocks[0]
+        assert blocks == [list(range(graph._FILL_CELLS // g.n))]
+        assert listed == list(range(g.n))
         fill_dag_cache(g, range(g.n))
-        assert len(blocks) == len(range(0, g.n, step))
-        assert listed == blocks[0]
+        assert len(blocks) == 1 and len(listed) == g.n
         for s in range(g.n):
             dist, sigma = g._dag_cache[s]
             assert (dist, sigma) == eager_bfs_dag(g, s)[:2]
             assert all(type(x) is int for x in sigma)
         assert g._dag_cache[0][1][-2] == 2 ** 62
+
+    @staticmethod
+    def watch_fill(monkeypatch):
+        """Lists of the blocks _bfs_cells gave up (None) and swept, and of
+        the sources bfs_dag's list BFS ran for, during a fill."""
+        gave_up, swept, listed = [], [], []
+
+        def cells(g, sources, stop_at=None, level_arcs=0,
+                  real=graph._bfs_cells):
+            rows = real(g, sources, stop_at, level_arcs)
+            (swept if rows else gave_up).append(sources.tolist())
+            return rows
+
+        def dag(g, s, real=graph.bfs_dag):
+            listed.append(s)
+            return real(g, s)
+        monkeypatch.setattr(graph, "_bfs_cells", cells)
+        monkeypatch.setattr(graph, "bfs_dag", dag)
+        return gave_up, swept, listed
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_thin_blocks_go_to_the_list_bfs(self, directed, monkeypatch):
+        # A path's BFS scans two arcs per level and source, so the first
+        # block gives up at level _THIN_LEVELS, and the fill lists every
+        # source once, in id order.
+        n = 300
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)], directed=directed)
+        gave_up, swept, listed = self.watch_fill(monkeypatch)
+        fill_dag_cache(g, reversed(range(n)))
+        assert gave_up == [list(range(graph._FILL_CELLS // n))]
+        assert not swept and listed == list(range(n))
+        for s in range(n):
+            assert g._dag_cache[s] == eager_bfs_dag(g, s)[:2]
+
+    def test_wide_blocks_are_swept(self, monkeypatch):
+        # In a 32 x 32 grid, one block of 16 sources from the middle row
+        # scans over a thousand arcs per level.  Its BFS runs past 40
+        # levels, yet the sweep keeps it.
+        side = 32
+        g = Graph(side * side,
+                  [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+                  + [(v, v + side) for v in range(side * (side - 1))])
+        middle = list(range(side * side // 2, side * (side + 2) // 2, 2))
+        gave_up, swept, listed = self.watch_fill(monkeypatch)
+        fill_dag_cache(g, middle)
+        assert swept == [middle] and not (gave_up or listed)
+        for s in middle:
+            assert g._dag_cache[s] == eager_bfs_dag(g, s)[:2]
+        assert max(g._dag_cache[middle[0]][0]) > 40
+
+    def test_no_fill_past_the_cache_size(self, monkeypatch):
+        monkeypatch.setattr(graph, "_CACHE_MAX_N", 9)
+        gave_up, swept, listed = self.watch_fill(monkeypatch)
+        g = Graph(10, [(v, v + 1) for v in range(9)])
+        fill_dag_cache(g, range(10))
+        assert not (g._dag_cache or gave_up or swept or listed)
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_one_node_refused_before_any_draw(self, cached, monkeypatch):
