@@ -2,13 +2,15 @@
 
 All pair sums use the ordered-pair convention and count only internal path
 nodes.  The betweenness and coverage oracles read one numpy BFS sweep over
-blocks of sources, with float64 path counts sigma and set-avoiding counts
-tau.  set_bwc, exact_coverage and brute_force_max refuse counts above 2^53
-(SizeError), so theirs are exact integers, and set_bwc sums the correctly
-rounded per-pair ratios with math.fsum, so results do not depend on
-accumulation order.  ex_greedy holds the BFS blocks across its rounds and
-narrows them each round to the DAG arcs that a path avoiding the chosen
-set can still use, so a round skips the pairs earlier picks cover.
+blocks of graph.block_sources(n) sources: the DAG levels of
+graph.bfs_levels, the level loop that the pair samplers' BFS runs too,
+with float64 path counts sigma and set-avoiding counts tau.  set_bwc,
+exact_coverage and brute_force_max refuse counts above 2^53 (SizeError),
+so theirs are exact integers, and set_bwc sums the correctly rounded
+per-pair ratios with math.fsum, so results do not depend on accumulation
+order.  ex_greedy holds the BFS blocks across its rounds and narrows them
+each round to the DAG arcs that a path avoiding the chosen set can still
+use, so a round skips the pairs earlier picks cover.
 """
 from __future__ import annotations
 
@@ -19,15 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SizeError
-from .graph import all_triangles, arc_cells
+from .graph import all_triangles, bfs_levels, block_sources
 from .maximize import HyperEdgePool, check_k, greedy_cover
 
 _BRUTE_FORCE_GUARD = 10 ** 7
-
-# adaptive_bwc_all sweeps _BLOCK_CELLS // n sources at once, so a block's
-# (source, node) arrays hold about this many cells.  Larger blocks save
-# little time on small-world graphs and raise peak memory.
-_BLOCK_CELLS = 2 ** 13
 
 # ex_greedy holds the BFS blocks (path counts and DAG arcs) of its graph
 # up to this many bytes, so every round reuses them; blocks past it are
@@ -109,7 +106,7 @@ def adaptive_bwc_all(g, nodes, blocks=None):
     For each source, tau counts paths avoiding the set; the backward pass
     accumulates, for each candidate u, the fraction of pairs whose avoiding
     paths route through u.  Sources go through the sweep in blocks of
-    _BLOCK_CELLS // n, as flat (source, node) cells; path counts are
+    graph.block_sources(n), as flat (source, node) cells; path counts are
     float64, and a count that overflows raises SizeError.
 
     `blocks` is a list of the BFS blocks of the first sources, as
@@ -155,7 +152,7 @@ def _blocks(g, held=()):
     fresh `_bfs_block` for each block of sources past them."""
     yield from held
     n = g.n
-    step = max(1, _BLOCK_CELLS // max(n, 1))
+    step = block_sources(n)
     for lo in range(sum(len(b.origin) for b in held), n, step):
         yield _bfs_block(g, np.arange(lo, min(lo + step, n)))
 
@@ -194,29 +191,16 @@ class _Block(NamedTuple):
 
 
 def _bfs_block(g, sources):
-    """Level-synchronous BFS of every source in `sources` at once."""
-    csr = g.csr()
-    n = g.n
-    size = len(sources) * n
-    origin = np.arange(len(sources)) * n + sources
-    dist = np.full(size, -1, dtype=np.int32)
-    dist[origin] = 0
-    sigma = np.zeros(size)
+    """The _Block of bfs_levels over every source in `sources`, with
+    float64 path counts summed level by level."""
+    origin = np.arange(len(sources)) * g.n + sources
+    sigma = np.zeros(len(sources) * g.n)
     sigma[origin] = 1.0
-    levels = []
-    frontier = origin
+    levels = list(bfs_levels(g, sources))
     # A path count that overflows to inf raises SizeError below.
     with np.errstate(over="ignore"):
-        while True:
-            parent, child = arc_cells(csr, frontier, n)
-            fresh = dist[child] < 0
-            parent, child = parent[fresh], child[fresh]
-            if not child.size:
-                break
-            dist[child] = len(levels) + 1
+        for parent, child in levels:
             np.add.at(sigma, child, sigma[parent])
-            levels.append((parent, child))
-            frontier = np.flatnonzero(dist == len(levels))
     if not np.isfinite(sigma).all():
         raise SizeError("shortest-path counts overflow float64")
     return _Block(origin, sigma, levels)

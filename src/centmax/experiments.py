@@ -15,9 +15,8 @@ DEFAULT_ORDERING_EPS = 0.25
 
 
 def ordering_budget(n, eps=DEFAULT_ORDERING_EPS):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return math.ceil(100.0 * math.log(n) / (eps * eps))
+    """The pool size of a centrality ordering: ceil(100 ln(n) / eps^2)."""
+    return maximize.pool_budget(100.0 * math.log(n), eps)
 
 
 def centrality_ordering(g, spec, rng, eps=DEFAULT_ORDERING_EPS):
@@ -149,8 +148,7 @@ def evolve(temporal, snapshots, ks, spec, rng, eps=DEFAULT_ORDERING_EPS,
     """
     if any(k < 1 for k in ks):
         raise ValueError("every k must be positive")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    maximize.check_eps(eps)
     rows = []
     for when in snapshots:
         g = graph_from_labeled_edges(temporal.snapshot_edges(when, mode=mode),

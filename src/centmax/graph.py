@@ -18,16 +18,24 @@ from .errors import ParseError
 # draw many hyper-edges from the same small graph.
 _CACHE_MAX_N = 2048
 
-# fill_dag_cache BFSes _FILL_CELLS // n sources at once, so the (source,
-# node) arrays of a block hold about this many cells.
-_FILL_CELLS = 2 ** 14
+# A BFS block holds _BLOCK_CELLS // n sources, so its (source, node)
+# arrays hold about this many cells; the fill and the exact sweep both
+# block their sources so.  Larger blocks save little on small-world
+# graphs, and past 2**15 cells exact's held blocks store their cells as
+# int32 instead of int16: at 2**16 cells ex_greedy(g, 10) on ran:1000
+# peaks 8.5 MB higher in-process (45.7 -> 54.2 MB), for no gain in time.
+_BLOCK_CELLS = 2 ** 15
 
 # A block sweep pays 15-30 us of numpy calls per BFS level, so on a deep,
-# thin graph, where a level scans few arcs, the list BFS is faster: 7x on
-# a path, 1.2-1.7x on a grid, while the sweep is 1.4-2.8x faster on
-# sparse random graphs.  So the fill gives up a block that has run
-# _THIN_LEVELS levels yet scanned fewer than _THIN_LEVEL_ARCS arcs per
-# level.
+# thin graph, where a level has few arcs, the list BFS is faster: 3.3x on
+# a path and 1.9x on a ladder, while the sweep is 1.6-1.9x faster on grids
+# and sparse random graphs (blocks of 2**15 cells).  So the fill gives up
+# a block that has run _THIN_LEVELS levels yet found fewer DAG arcs per
+# level than _THIN_LEVEL_ARCS per _BLOCK_CELLS cells of the block.
+# Counted per cell, the rule also gives up the blocks of grids past about
+# 41 x 41, whose sweeps overflow int64 at the far corners anyway: a fixed
+# count let a 16-source block of a 45 x 45 grid sweep about 50 levels
+# before it overflowed.
 _THIN_LEVELS = 8
 _THIN_LEVEL_ARCS = 512
 
@@ -205,7 +213,7 @@ def _check_id(g, v, what):
 def fill_dag_cache(g, sources):
     """Put bfs_dag(g, s) into g's cache for every s in `sources` not yet
     in it; nothing for n > _CACHE_MAX_N, whose rows are not cached.  The
-    uncached sources are BFSed _FILL_CELLS // n at a time, in id order, by
+    uncached sources are BFSed block_sources(n) at a time, in id order, by
     _bfs_cells.  Once it gives up a block, whose counts could overflow
     int64 or whose BFS runs deep and thin, that block and every later
     source go through bfs_dag's list BFS instead, once per source: both
@@ -216,11 +224,12 @@ def fill_dag_cache(g, sources):
     if todo:
         _check_id(g, todo[0], "source")
         _check_id(g, todo[-1], "source")
-    step = max(1, _FILL_CELLS // g.n)
+    step = block_sources(g.n)
     for lo in range(0, len(todo), step):
         block = todo[lo:lo + step]
         rows = _bfs_cells(g, np.array(block, dtype=np.int64),
-                          level_arcs=_THIN_LEVEL_ARCS)
+                          level_arcs=_THIN_LEVEL_ARCS * len(block) * g.n
+                          // _BLOCK_CELLS)
         if rows is None:
             for s in todo[lo:]:
                 bfs_dag(g, s)
@@ -250,39 +259,65 @@ def bfs_dist_sigma(g, s, stop_at=None):
 
 
 def _bfs_cells(g, sources, stop_at=None, level_arcs=0):
-    """Level-synchronous BFS of every source in `sources` at once, over
-    flat cells i * n + v for source i and node v: (dist, sigma) as int64
-    arrays of shape (len(sources), n), with exact path counts.  None once
-    a frontier count exceeds 2**62 // n, past which the next level's sums
-    could overflow int64, or once _THIN_LEVELS or more levels have
-    scanned fewer than level_arcs arcs per level.  With stop_at (one
-    source only), levels beyond dist[stop_at] are not expanded."""
+    """bfs_levels of every source in `sources`, summed into (dist, sigma)
+    as int64 arrays of shape (len(sources), n), with exact path counts.
+    None once a level's count exceeds 2**62 // n, past which the next
+    level's sums could overflow int64, or once _THIN_LEVELS or more
+    levels have found fewer than level_arcs DAG arcs per level.  With
+    stop_at (one source only), levels beyond dist[stop_at] are not
+    expanded."""
     n = g.n
-    csr = g.csr()
     origin = np.arange(sources.size) * n + sources
     dist = np.full(origin.size * n, -1, dtype=np.int64)
     sigma = np.zeros(origin.size * n, dtype=np.int64)
     dist[origin] = 0
     sigma[origin] = 1
     limit = 2 ** 62 // max(n, 2)
-    frontier, level, scanned = origin, 0, 0
-    while frontier.size:
-        if stop_at is not None and dist[stop_at] >= 0:
+    levels = bfs_levels(g, sources)
+    level = arcs = 0
+    while stop_at is None or dist[stop_at] < 0:
+        parent, child = next(levels, (None, None))
+        if child is None:
             break
-        if int(sigma[frontier].max()) > limit:
-            return None
-        parent, child = arc_cells(csr, frontier, n)
         level += 1
-        scanned += child.size
-        if level >= _THIN_LEVELS and scanned < level * level_arcs:
+        arcs += child.size
+        if level >= _THIN_LEVELS and arcs < level * level_arcs:
             return None
-        fresh = dist[child] < 0
-        parent, child = parent[fresh], child[fresh]
         dist[child] = level
         # int64 sums: exact below the guard, unlike a float64 bincount.
         np.add.at(sigma, child, sigma[parent])
-        frontier = np.flatnonzero(dist == level)
+        if int(sigma[child].max()) > limit:
+            return None
     return dist.reshape(-1, n), sigma.reshape(-1, n)
+
+
+def block_sources(n):
+    """How many sources one BFS block holds on n nodes."""
+    return max(1, _BLOCK_CELLS // max(n, 1))
+
+
+def bfs_levels(g, sources):
+    """Level-synchronous BFS of every source in `sources` at once, along
+    out-arcs, over flat cells i * n + v for source i and node v.  Yields,
+    for d = 1, 2, ... until a level finds no new cell, the shortest-path
+    DAG arcs (parent cells, child cells) into the cells at distance d, in
+    parent then arc order, parents ascending.  Those children, deduped,
+    are the next level's frontier, so a level costs its own arcs, not the
+    block."""
+    n = g.n
+    csr = g.csr()
+    frontier = np.arange(len(sources)) * n + sources
+    seen = np.zeros(frontier.size * n, dtype=bool)
+    seen[frontier] = True
+    while True:
+        parent, child = arc_cells(csr, frontier, n)
+        fresh = ~seen[child]
+        parent, child = parent[fresh], child[fresh]
+        if not child.size:
+            return
+        frontier = _distinct(np.sort(child))
+        seen[frontier] = True
+        yield parent, child
 
 
 def arc_cells(csr, frontier, n):

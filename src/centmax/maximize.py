@@ -138,29 +138,43 @@ def sample_budget(n, k, eps, ell=1, maxk_scaled=1.0):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if k < 1 or ell < 1:
         raise ValueError("k and ell must be positive integers")
     if not 0.0 < maxk_scaled <= 1.0:
         raise ValueError("maxk_scaled must be in (0, 1]")
-    return math.ceil(3.0 * (ell + k) * math.log(n) / (eps * eps * maxk_scaled))
+    return pool_budget(3.0 * (ell + k) * math.log(n), eps, maxk_scaled)
 
 
 def experiment_budget(n, k, eps):
     """The empirical preset: ceil(k ln(n) / eps^2)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return math.ceil(k * math.log(n) / (eps * eps))
+    return pool_budget(k * math.log(n), eps)
 
 
 def equal_budget(n, eps):
     """The equal-footing comparison preset: ceil(2 ln(2 n^3) / eps^2)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return math.ceil(2.0 * math.log(2.0 * n ** 3) / (eps * eps))
+    return pool_budget(2.0 * math.log(2.0 * n ** 3), eps)
+
+
+def check_eps(eps):
+    """Refuse an eps that is not a finite positive number (ValueError)."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
+def pool_budget(count, eps, scale=1.0):
+    """ceil(count / (eps^2 * scale)), the form of every budget preset.
+    ValueError unless eps is finite and positive.  SizeError past
+    _POOL_GUARD, judged on the float before rounding, so that a budget
+    past the float range, or an eps whose square underflows to 0, is
+    refused as any oversized pool is."""
+    check_eps(eps)
+    denominator = eps * eps * scale
+    q = count / denominator if denominator else math.inf
+    if q > _POOL_GUARD:
+        raise SizeError(f"pool size {q:.4g} exceeds the guard {_POOL_GUARD}")
+    return math.ceil(q)
 
 
 def check_pool_size(q):

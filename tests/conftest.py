@@ -72,6 +72,21 @@ def path_graph(n, directed=False):
     return Graph(n, [(i, i + 1) for i in range(n - 1)], directed=directed)
 
 
+def ladder_graph(rungs):
+    """Two paths of `rungs` nodes, node i of one joined to node i of the
+    other."""
+    return Graph(2 * rungs, [(i, i + 1) for i in range(rungs - 1)]
+                 + [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+                 + [(i, rungs + i) for i in range(rungs)])
+
+
+def grid_graph(side):
+    """The side x side grid, node r * side + c at row r and column c."""
+    return Graph(side * side,
+                 [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+                 + [(v, v + side) for v in range(side * (side - 1))])
+
+
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 

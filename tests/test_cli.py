@@ -33,6 +33,17 @@ def no_sampling(*args, **kwargs):
     raise AssertionError("sampled before the pool-size guard")
 
 
+# An eps whose square underflows to 0, or whose budget passes the float
+# range, asks for an oversized pool (exit 3); an eps that is not a finite
+# number is refused by name (exit 2).
+eps_out_of_range = pytest.mark.parametrize("eps, code, message", [
+    ("1e-300", 3, "exceeds the guard"),
+    ("1e-160", 3, "exceeds the guard"),
+    ("nan", 2, "eps must be positive and finite"),
+    ("inf", 2, "eps must be positive and finite"),
+])
+
+
 class TestMaximize:
     def test_p3_selects_center(self, tmp_path):
         inp = write_graph(tmp_path, P3)
@@ -89,6 +100,17 @@ class TestMaximize:
         assert run(["maximize", "--input", inp, "--k", "1",
                     "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
+
+    @eps_out_of_range
+    @pytest.mark.parametrize("budget", ["paper-exp", "equal-yalg", "theory"])
+    def test_eps_past_the_float_range_ends_in_an_exit_code(
+            self, budget, eps, code, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
+        out = tmp_path / "m.json"
+        assert run(["maximize", "--gen", "ran:5", "--k", "1", "--budget",
+                    budget, "--eps", eps, "-o", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_k_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, P4)
@@ -317,6 +339,16 @@ class TestAttack:
         assert run(["attack", "--input", inp, "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
 
+    @eps_out_of_range
+    def test_eps_past_the_float_range_ends_in_an_exit_code(
+            self, eps, code, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
+        out = tmp_path / "a.csv"
+        assert run(["attack", "--gen", "ran:20", "--eps", eps,
+                    "-o", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_triangle_on_an_empty_graph(self, tmp_path):
         inp = write_graph(tmp_path, "", "empty.txt")
         out = tmp_path / "a.csv"
@@ -472,7 +504,7 @@ class TestEvolve:
                     "--eps", "0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
     def test_eps_is_checked_before_any_snapshot(self, tmp_path, capsys, eps):
         # Snapshot 3 is empty, so no pool is drawn for it.
         inp = write_graph(tmp_path, "0 1 10\n1 2 20\n2 3 30\n", "t.txt")

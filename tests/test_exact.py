@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact, generators
+from centmax import exact, generators, graph
 from centmax.errors import SizeError
 from centmax.exact import (adaptive_bwc_all, brandes, brute_force_max,
                            ex_greedy, exact_coverage, exact_kpath, set_bwc,
                            triangle_greedy)
 from centmax.graph import Graph, all_triangles, bfs_dag
 from conftest import complete_graph, diamond_chain_edges, eager_bfs_dag, \
-    path_graph, random_graph, reference_triangle_greedy, seeded, star_graph
+    grid_graph, ladder_graph, path_graph, random_graph, \
+    reference_triangle_greedy, seeded, star_graph
 
 
 def adaptive_bwc(g, u, nodes):
@@ -105,15 +106,18 @@ def graphs_with_sets(draw, min_n, max_n):
 
 @contextmanager
 def patched(**values):
-    """Set module constants of centmax.exact for the duration."""
-    saved = {name: getattr(exact, name) for name in values}
+    """Set module constants for the duration: the block budget
+    _BLOCK_CELLS of centmax.graph, the others of centmax.exact."""
+    homes = {name: graph if name == "_BLOCK_CELLS" else exact
+             for name in values}
+    saved = {name: getattr(homes[name], name) for name in values}
     for name, value in values.items():
-        setattr(exact, name, value)
+        setattr(homes[name], name, value)
     try:
         yield
     finally:
         for name, value in saved.items():
-            setattr(exact, name, value)
+            setattr(homes[name], name, value)
 
 
 def sweep_with_block_cells(g, nodes, block_cells):
@@ -151,6 +155,32 @@ class TestSweep:
         for u in rnd.sample(range(g.n), 8):
             want = 0.0 if u in nodes else adaptive_bwc(g, u, nodes)
             assert marg[u] == pytest.approx(want, abs=1e-9)
+
+    def test_path_brandes_across_several_default_blocks(self):
+        # A deep graph whose sources span three default blocks: node i of
+        # an n-node path lies inside 2 i (n - 1 - i) ordered pairs' paths.
+        n = 300
+        assert graph.block_sources(n) < n / 2
+        assert brandes(path_graph(n)) == [2.0 * i * (n - 1 - i)
+                                          for i in range(n)]
+
+    @pytest.mark.parametrize("g", [ladder_graph(100), grid_graph(15)],
+                             ids=["ladder", "grid"])
+    def test_deep_brandes_matches_the_exact_oracle(self, g):
+        assert graph.block_sources(g.n) < g.n
+        marg = brandes(g)
+        for u in seeded(g.n).sample(range(g.n), 8):
+            assert marg[u] == pytest.approx(adaptive_bwc(g, u, ()),
+                                            abs=1e-9)
+
+    @pytest.mark.parametrize("g", [path_graph(300), ladder_graph(100)],
+                             ids=["path", "ladder"])
+    def test_deep_ex_greedy_held_or_swept_afresh(self, g):
+        # Picks and scores are the same with every block held as with
+        # every block swept afresh each round.
+        held = ex_greedy(g, 3)
+        with patched(_HELD_BYTES=0):
+            assert ex_greedy(g, 3) == held
 
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_sets(1, 16), st.integers(1, 300))
@@ -254,7 +284,7 @@ class TestNarrowing:
         assert picks == want
         assert [s.hex() for s in scores] == [s.hex() for s in want_scores]
 
-    @pytest.mark.parametrize("block_cells", [1, exact._BLOCK_CELLS])
+    @pytest.mark.parametrize("block_cells", [1, graph._BLOCK_CELLS])
     @pytest.mark.parametrize("g, centre", [(star_graph(5), 0),
                                            (path_graph(3), 1),
                                            (path_graph(3, directed=True), 1)])
@@ -268,7 +298,7 @@ class TestNarrowing:
         def spy(graph):
             lists.append(held_blocks(graph))
             return lists[-1]
-        monkeypatch.setattr(exact, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", block_cells)
         monkeypatch.setattr(exact, "_held_blocks", spy)
         blocks = held_blocks(g)
         assert any(len(b.levels) > 1 for b in blocks)

@@ -400,6 +400,27 @@ class TestBfsDag:
         assert dist[-1] == -1 and sigma[-2] == 2 ** 62
 
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_stop_at_cuts_past_its_level(self, directed):
+        # Every node up to stop_at's distance matches the full BFS, and
+        # every node farther away is left unreached; stop_at == s expands
+        # nothing, and an unreachable stop_at cuts nothing.
+        rng = seeded(31 + directed)
+        for _ in range(8):
+            g = random_graph(rng.randrange(2, 30), rng.choice((0.05, 0.15)),
+                             rng, directed)
+            s = rng.randrange(g.n)
+            full_dist, full_sigma = bfs_dag(g, s)
+            for t in range(g.n):
+                cut = full_dist[t] if full_dist[t] >= 0 else g.n
+                dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
+                for v in range(g.n):
+                    if 0 <= full_dist[v] <= cut:
+                        assert dist[v] == full_dist[v]
+                        assert sigma[v] == full_sigma[v]
+                    else:
+                        assert dist[v] == -1
+
     @pytest.mark.parametrize("s, stop_at, message", [
         (-1, None, "source -1"), (3, None, "source 3"),
         (0, -1, "stop_at -1"), (0, 3, "stop_at 3")])
@@ -416,6 +437,41 @@ class TestBfsDag:
                            match=f"^source {s} out of range for n=3$"):
             graph.fill_dag_cache(g, [1, s])
         assert not g._dag_cache
+
+
+class TestBfsLevels:
+    """graph.bfs_levels, the one level loop of the fill, bfs_dist_sigma
+    and the exact sweep."""
+
+    @pytest.mark.parametrize("cells", [1, 100, graph._BLOCK_CELLS])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_levels_are_the_dag_arcs(self, directed, cells, monkeypatch):
+        # Level d holds exactly the arcs u -> v with dist[v] = dist[u] + 1
+        # = d, in parent then arc order; its children are the cells at
+        # distance d, the next level's frontier.
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", cells)
+        rng = seeded(21 + directed)
+        for _ in range(8):
+            n = rng.randrange(1, 40)
+            g = random_graph(n, rng.choice((0.03, 0.1, 0.3)), rng, directed)
+            step = graph.block_sources(n)
+            for lo in range(0, n, step):
+                sources = range(lo, min(lo + step, n))
+                levels = list(graph.bfs_levels(g, np.array(sources)))
+                dists = [eager_bfs_dag(g, s)[0] for s in sources]
+                assert len(levels) == max(max(dist) for dist in dists)
+                for d, (parent, child) in enumerate(levels, 1):
+                    want = [(i * n + u, i * n + v)
+                            for i, dist in enumerate(dists)
+                            for u in range(n) if dist[u] == d - 1
+                            for v in g.adj[u] if dist[v] == d]
+                    assert list(zip(parent.tolist(), child.tolist())) == want
+                    assert set(child.tolist()) == {
+                        i * n + v for i, dist in enumerate(dists)
+                        for v in range(n) if dist[v] == d}
+                    if d < len(levels):
+                        assert set(levels[d][0].tolist()) <= set(
+                            child.tolist())
 
 
 class TestLazyPreds:

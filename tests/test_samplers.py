@@ -400,11 +400,11 @@ class TestPairChunks:
         assert sorted(filled) == sorted(linked)
         assert set(walked) == linked
 
-    @pytest.mark.parametrize("cells", [1, 100, graph._FILL_CELLS])
+    @pytest.mark.parametrize("cells", [1, 100, graph._BLOCK_CELLS])
     @pytest.mark.parametrize("directed", [False, True])
     def test_fill_equals_the_list_bfs(self, directed, cells, monkeypatch):
         # No block gives up as thin, so that the sweep fills every row.
-        monkeypatch.setattr(graph, "_FILL_CELLS", cells)
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", cells)
         monkeypatch.setattr(graph, "_THIN_LEVEL_ARCS", 0)
         rng = seeded(11 + directed)
         for _ in range(6):
@@ -456,7 +456,7 @@ class TestPairChunks:
         monkeypatch.setattr(graph, "_bfs_cells", cells)
         monkeypatch.setattr(graph, "bfs_dag", dag)
         fill_dag_cache(g, reversed(range(g.n)))
-        assert blocks == [list(range(graph._FILL_CELLS // g.n))]
+        assert blocks == [list(range(graph._BLOCK_CELLS // g.n))]
         assert listed == list(range(g.n))
         fill_dag_cache(g, range(g.n))
         assert len(blocks) == 1 and len(listed) == g.n
@@ -494,7 +494,7 @@ class TestPairChunks:
         g = Graph(n, [(v, v + 1) for v in range(n - 1)], directed=directed)
         gave_up, swept, listed = self.watch_fill(monkeypatch)
         fill_dag_cache(g, reversed(range(n)))
-        assert gave_up == [list(range(graph._FILL_CELLS // n))]
+        assert gave_up == [list(range(graph._BLOCK_CELLS // n))]
         assert not swept and listed == list(range(n))
         for s in range(n):
             assert g._dag_cache[s] == eager_bfs_dag(g, s)[:2]
