@@ -16,6 +16,7 @@ DEFAULT_ORDERING_EPS = 0.25
 
 def ordering_budget(n, eps=DEFAULT_ORDERING_EPS):
     """The pool size of a centrality ordering: ceil(100 ln(n) / eps^2)."""
+    maximize.check_budget_n(n)
     return maximize.pool_budget(100.0 * math.log(n), eps)
 
 
@@ -27,8 +28,6 @@ def centrality_ordering(g, spec, rng, eps=DEFAULT_ORDERING_EPS):
     """
     if spec == "triangle":
         return exact.triangle_greedy(g, g.n)
-    if g.n < 2:
-        raise ValueError("need n >= 2")
     pool = maximize.build_pool(g, spec, ordering_budget(g.n, eps), rng)
     return maximize.greedy_cover(pool, g.n).selected
 

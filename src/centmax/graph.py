@@ -29,9 +29,10 @@ _BLOCK_CELLS = 2 ** 15
 # A block sweep pays 15-30 us of numpy calls per BFS level, so on a deep,
 # thin graph, where a level has few arcs, the list BFS is faster: 3.3x on
 # a path and 1.9x on a ladder, while the sweep is 1.6-1.9x faster on grids
-# and sparse random graphs (blocks of 2**15 cells).  So the fill gives up
-# a block that has run _THIN_LEVELS levels yet found fewer DAG arcs per
-# level than _THIN_LEVEL_ARCS per _BLOCK_CELLS cells of the block.
+# and sparse random graphs (blocks of 2**15 cells).  So bfs_dist_sigma
+# gives up a block, of one source or many, that has run _THIN_LEVELS
+# levels yet found fewer DAG arcs per level than _THIN_LEVEL_ARCS per
+# _BLOCK_CELLS cells of the block.
 # Counted per cell, the rule also gives up the blocks of grids past about
 # 41 x 41, whose sweeps overflow int64 at the far corners anyway: a fixed
 # count let a 16-source block of a 45 x 45 grid sweep about 50 levels
@@ -168,17 +169,29 @@ def _lists(indptr, indices):
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def bfs_dag(g, s):
-    """Level-synchronous BFS from s along out-edges: (dist, sigma) lists,
-    hop distances with -1 for unreachable and exact shortest-path counts
-    (Python ints, never overflow).
-
-    Cached on the graph for small n, where fill_dag_cache also puts rows;
-    treat the result as immutable.
-    """
+def bfs_dag(g, s, *, stop_at=None):
+    """Level-synchronous BFS from s along out-edges: (dist, sigma) by node,
+    hop distances with -1 for unreachable and exact shortest-path counts.
+    For n <= _CACHE_MAX_N, the full row as lists, cached on the graph as
+    fill_dag_cache's rows are; treat it as immutable.  Above, uncached:
+    bfs_dist_sigma's int64 row, or the list BFS's lists once the kernel
+    gives up, with the levels past dist[stop_at] unexpanded (-1)."""
     _check_id(g, s, "source")
-    if g.n <= _CACHE_MAX_N and s in g._dag_cache:
+    if stop_at is not None:
+        _check_id(g, stop_at, "stop_at")
+    if g.n <= _CACHE_MAX_N:
+        if s not in g._dag_cache:
+            g._dag_cache[s] = _list_bfs(g, s)
         return g._dag_cache[s]
+    rows = bfs_dist_sigma(g, np.array([s], dtype=np.int64), stop_at)
+    if rows is None:
+        return _list_bfs(g, s, stop_at)
+    return rows[0][0], rows[1][0]
+
+
+def _list_bfs(g, s, stop_at=None):
+    """bfs_dag's row from s as lists, with Python-int counts that never
+    overflow; with stop_at, levels past dist[stop_at] are not expanded."""
     adj = g.adj
     dist = [-1] * g.n
     sigma = [0] * g.n
@@ -186,7 +199,7 @@ def bfs_dag(g, s):
     sigma[s] = 1
     frontier = [s]
     level = 0
-    while frontier:
+    while frontier and (stop_at is None or dist[stop_at] < 0):
         level += 1
         fresh = []
         for v in frontier:
@@ -200,8 +213,6 @@ def bfs_dag(g, s):
                 elif dw == level:
                     sigma[w] += sv
         frontier = fresh
-    if g.n <= _CACHE_MAX_N:
-        g._dag_cache[s] = dist, sigma
     return dist, sigma
 
 
@@ -214,7 +225,7 @@ def fill_dag_cache(g, sources):
     """Put bfs_dag(g, s) into g's cache for every s in `sources` not yet
     in it; nothing for n > _CACHE_MAX_N, whose rows are not cached.  The
     uncached sources are BFSed block_sources(n) at a time, in id order, by
-    _bfs_cells.  Once it gives up a block, whose counts could overflow
+    bfs_dist_sigma.  Once it gives up a block, whose counts could overflow
     int64 or whose BFS runs deep and thin, that block and every later
     source go through bfs_dag's list BFS instead, once per source: both
     are mostly properties of the graph, which the later blocks share."""
@@ -227,9 +238,7 @@ def fill_dag_cache(g, sources):
     step = block_sources(g.n)
     for lo in range(0, len(todo), step):
         block = todo[lo:lo + step]
-        rows = _bfs_cells(g, np.array(block, dtype=np.int64),
-                          level_arcs=_THIN_LEVEL_ARCS * len(block) * g.n
-                          // _BLOCK_CELLS)
+        rows = bfs_dist_sigma(g, np.array(block, dtype=np.int64))
         if rows is None:
             for s in todo[lo:]:
                 bfs_dag(g, s)
@@ -238,35 +247,15 @@ def fill_dag_cache(g, sources):
                                            rows[1].tolist())))
 
 
-def bfs_dist_sigma(g, s, stop_at=None):
-    """Numpy BFS from s returning (dist, sigma), as bfs_dag does: the one
-    source run of _bfs_cells.  Unlike the fill, it keeps sweeping a thin
-    BFS, since stop_at cuts it short and the list BFS would not.
-
-    dist is int64 with -1 for unreachable.  sigma is int64; if counts risk
-    overflowing, it is bfs_dag's list of exact counts.  If stop_at is given,
-    levels beyond dist[stop_at] are not expanded (sigma is then only valid
-    for nodes at distance <= dist[stop_at]).
-    """
-    _check_id(g, s, "source")
-    if stop_at is not None:
-        _check_id(g, stop_at, "stop_at")
-    rows = _bfs_cells(g, np.array([s], dtype=np.int64), stop_at)
-    if rows is None:
-        dist, sigma = bfs_dag(g, s)
-        return np.array(dist, dtype=np.int64), sigma
-    return rows[0][0], rows[1][0]
-
-
-def _bfs_cells(g, sources, stop_at=None, level_arcs=0):
+def bfs_dist_sigma(g, sources, stop_at=None):
     """bfs_levels of every source in `sources`, summed into (dist, sigma)
     as int64 arrays of shape (len(sources), n), with exact path counts.
     None once a level's count exceeds 2**62 // n, past which the next
-    level's sums could overflow int64, or once _THIN_LEVELS or more
-    levels have found fewer than level_arcs DAG arcs per level.  With
-    stop_at (one source only), levels beyond dist[stop_at] are not
-    expanded."""
+    level's sums could overflow int64, or once the BFS runs deep and thin
+    (_THIN_LEVEL_ARCS).  With stop_at (one source only), levels beyond
+    dist[stop_at] are not expanded."""
     n = g.n
+    level_arcs = _THIN_LEVEL_ARCS * sources.size * n // _BLOCK_CELLS
     origin = np.arange(sources.size) * n + sources
     dist = np.full(origin.size * n, -1, dtype=np.int64)
     sigma = np.zeros(origin.size * n, dtype=np.int64)

@@ -136,17 +136,16 @@ def sample_budget(n, k, eps, ell=1, maxk_scaled=1.0):
     maxk_scaled is the (estimated) optimum divided by alpha; the default 1
     is the optimistic dense-optimum assumption.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if k < 1 or ell < 1:
-        raise ValueError("k and ell must be positive integers")
-    if not 0.0 < maxk_scaled <= 1.0:
-        raise ValueError("maxk_scaled must be in (0, 1]")
+    check_budget_n(n)
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    check_theory_params(ell, maxk_scaled)
     return pool_budget(3.0 * (ell + k) * math.log(n), eps, maxk_scaled)
 
 
 def experiment_budget(n, k, eps):
     """The empirical preset: ceil(k ln(n) / eps^2)."""
+    check_budget_n(n)
     if k < 1:
         raise ValueError("k must be a positive integer")
     return pool_budget(k * math.log(n), eps)
@@ -154,7 +153,22 @@ def experiment_budget(n, k, eps):
 
 def equal_budget(n, eps):
     """The equal-footing comparison preset: ceil(2 ln(2 n^3) / eps^2)."""
+    check_budget_n(n)
     return pool_budget(2.0 * math.log(2.0 * n ** 3), eps)
+
+
+def check_budget_n(n):
+    """Refuse a graph of fewer than two nodes, whose ln(n) is not positive."""
+    if n < 2:
+        raise ValueError(f"a pool budget needs n >= 2 nodes, got n={n}")
+
+
+def check_theory_params(ell, maxk_scaled):
+    """Refuse an ell below 1 or a maxk_scaled outside (0, 1] (ValueError)."""
+    if ell < 1:
+        raise ValueError(f"ell must be a positive integer, got {ell}")
+    if not 0.0 < maxk_scaled <= 1.0:
+        raise ValueError(f"maxk_scaled must be in (0, 1], got {maxk_scaled}")
 
 
 def check_eps(eps):
@@ -271,9 +285,10 @@ def greedy_cover(pool, k):
 
 def hedge(g, spec, k, eps, ell=1, maxk_scaled=1.0, rng=None, budget=None):
     """Full pipeline: budget (halved eps unless given explicitly), pool,
-    greedy.  Returns a RunResult with wall time.  A k outside 1..n is
-    refused before anything is drawn."""
+    greedy.  Returns a RunResult with wall time.  A k, ell or maxk_scaled
+    out of range is refused before anything is drawn, whatever the budget."""
     check_k(k, g.n)
+    check_theory_params(ell, maxk_scaled)
     rng = rng if rng is not None else random.Random(0)
     if budget is None:
         budget = sample_budget(g.n, k, eps / 2.0, ell, maxk_scaled)

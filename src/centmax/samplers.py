@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (bfs_dag, bfs_dist_sigma, fill_dag_cache,
-                    _CACHE_MAX_N, _distinct)
+from .graph import bfs_dag, fill_dag_cache, _distinct
 
 KINDS = ("betweenness", "coverage", "kpath", "rr-influence")
 
@@ -187,15 +186,11 @@ def _pair_dag(g, s, t):
     from s or adjacent to it; otherwise (dist, sigma), which index by node
     and are exact for every node v with dist[v] <= dist[t].
     """
-    if not _linked(g, s, t):
-        return None
-    if g.n <= _CACHE_MAX_N:
-        dist, sigma = bfs_dag(g, s)
-    else:
-        dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
-    if dist[t] <= 1:
-        return None
-    return dist, sigma
+    if _linked(g, s, t):
+        dag = bfs_dag(g, s, stop_at=t)
+        if dag[0][t] > 1:
+            return dag
+    return None
 
 
 def _pair_chunks(g, walk, q, rng):

@@ -2,8 +2,10 @@ import random
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from centmax import graph
 from centmax.errors import ParseError
 from centmax.graph import Graph, all_triangles
 from centmax.samplers import _live_positions
@@ -151,6 +153,27 @@ def eager_bfs_dag(g, s):
                 sigma[w] += sigma[v]
                 preds[w].append(v)
     return dist, sigma, [tuple(p) for p in preds]
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Log of the BFS back ends of graph as the test runs them:
+    ("swept", sources) or ("gave up", sources) per bfs_dist_sigma call,
+    by whether the kernel returned rows, and ("listed", s) per run of the
+    list BFS."""
+    calls = []
+
+    def kernel(g, sources, stop_at=None, real=graph.bfs_dist_sigma):
+        rows = real(g, sources, stop_at)
+        calls.append(("swept" if rows else "gave up", sources.tolist()))
+        return rows
+
+    def listed(g, s, stop_at=None, real=graph._list_bfs):
+        calls.append(("listed", s))
+        return real(g, s, stop_at)
+    monkeypatch.setattr(graph, "bfs_dist_sigma", kernel)
+    monkeypatch.setattr(graph, "_list_bfs", listed)
+    return calls
 
 
 def reference_pair_many(g, kind, q, rng, chunk):

@@ -140,6 +140,40 @@ class TestMaximize:
                     "--budget", "explicit:3000"]) == 2
         assert "k=500 exceeds node count 300" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget, message", [
+        ("paper-exp", "a pool budget needs n >= 2 nodes, got n=0"),
+        ("equal-yalg", "a pool budget needs n >= 2 nodes, got n=0"),
+        ("theory", "k=1 exceeds node count 0"),
+        ("explicit:100", "k=1 exceeds node count 0")])
+    def test_empty_graph_is_refused_by_name(self, budget, message, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
+        inp = write_graph(tmp_path, "", "empty.txt")
+        out = tmp_path / "e.json"
+        assert run(["maximize", "--input", inp, "--k", "1",
+                    "--budget", budget, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--maxk-scaled", "0"], "maxk_scaled must be in (0, 1], got 0.0"),
+        (["--maxk-scaled", "1.5"], "maxk_scaled must be in (0, 1], got 1.5"),
+        (["--ell", "-3"], "ell must be a positive integer, got -3"),
+        (["--ell", "0"], "ell must be a positive integer, got 0")])
+    @pytest.mark.parametrize("budget", [
+        [], ["--budget", "explicit:100"], ["--budget", "equal-yalg"],
+        ["--budget", "theory"]])
+    def test_theory_flags_out_of_range_are_refused_under_every_budget(
+            self, budget, flag, message, tmp_path, monkeypatch, capsys):
+        # Only the theory budget reads --ell and --maxk-scaled, yet a value
+        # out of range is refused whichever budget runs.
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
+        out = tmp_path / "m.json"
+        assert run(["maximize", "--gen", "ran:50", "--k", "2", *flag,
+                    *budget, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_oversized_pool_is_size_error(self, monkeypatch, capsys):
         monkeypatch.setattr(samplers, "sample", no_sampling)
         # The theory budget here is about 1.4e10 samples.

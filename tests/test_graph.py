@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from centmax import exact, experiments, graph, maximize, samplers
 from centmax.errors import ParseError
-from centmax.graph import (Graph, all_triangles, bfs_dag, bfs_dist_sigma,
+from centmax.graph import (Graph, all_triangles, bfs_dag,
                            graph_from_labeled_edges, load_edge_list,
                            load_temporal_edge_list, write_edge_list)
 from conftest import complete_graph, cycle_graph, diamond_chain_edges, \
@@ -368,40 +368,52 @@ class TestBfsDag:
             dist, _ = bfs_dag(g, 0)
             assert dist == naive_bfs_dist(g, 0)
 
-    def test_vectorized_matches(self):
+    @pytest.fixture
+    def uncached(self, monkeypatch, bfs_calls):
+        """bfs_dag past the cache size: bfs_dist_sigma's row, or the list
+        BFS's once the kernel gives up; each call to either is logged."""
+        monkeypatch.setattr(graph, "_CACHE_MAX_N", 0)
+        return bfs_calls
+
+    def test_vectorized_matches(self, uncached):
         rng = seeded(9)
         for directed in (False, True):
             g = random_graph(60, 0.08, rng, directed=directed)
-            ref_dist, ref_sigma = bfs_dag(g, 3)
-            dist, sigma = bfs_dist_sigma(g, 3)
+            ref_dist, ref_sigma = eager_bfs_dag(g, 3)[:2]
+            dist, sigma = bfs_dag(g, 3)
             for v in range(g.n):
                 assert dist[v] == ref_dist[v]
                 if ref_dist[v] >= 0:
                     assert int(sigma[v]) == ref_sigma[v]
+        assert {call for call, _ in uncached} == {"swept"}
 
-    def test_vectorized_matches_with_sinks(self):
+    def test_vectorized_matches_with_sinks(self, uncached):
         # Sparse directed graphs put out-degree-0 nodes inside BFS frontiers.
         rng = seeded(3)
         for _ in range(30):
             g = random_graph(30, 0.05, rng, directed=True)
             for s in range(g.n):
-                ref_dist, ref_sigma = bfs_dag(g, s)
-                dist, sigma = bfs_dist_sigma(g, s)
+                ref_dist, ref_sigma = eager_bfs_dag(g, s)[:2]
+                dist, sigma = bfs_dag(g, s)
                 assert dist.tolist() == ref_dist
                 assert sigma.tolist() == ref_sigma
+        assert {call for call, _ in uncached} == {"swept"}
 
-    def test_vectorized_overflow_falls_back_to_exact_counts(self):
+    def test_vectorized_overflow_falls_back_to_exact_counts(
+            self, uncached, monkeypatch):
         # 62 chained diamonds give 2^62 paths, past the int64 guard; the
-        # last node is isolated.
+        # last node is isolated.  The thin rule is off, so that the kernel
+        # gives the BFS up for its counts alone.
+        monkeypatch.setattr(graph, "_THIN_LEVEL_ARCS", 0)
         g = Graph(3 * 62 + 2, diamond_chain_edges(62))
-        dist, sigma = bfs_dist_sigma(g, 0)
-        assert dist.dtype == np.int64
-        assert (dist.tolist(), sigma) == bfs_dag(g, 0)
+        dist, sigma = bfs_dag(g, 0)
+        assert uncached == [("gave up", [0]), ("listed", 0)]
+        assert (dist, sigma) == eager_bfs_dag(g, 0)[:2]
+        assert all(type(x) is int for x in dist + sigma)
         assert dist[-1] == -1 and sigma[-2] == 2 ** 62
 
-
     @pytest.mark.parametrize("directed", [False, True])
-    def test_stop_at_cuts_past_its_level(self, directed):
+    def test_stop_at_cuts_past_its_level(self, directed, uncached):
         # Every node up to stop_at's distance matches the full BFS, and
         # every node farther away is left unreached; stop_at == s expands
         # nothing, and an unreachable stop_at cuts nothing.
@@ -410,25 +422,28 @@ class TestBfsDag:
             g = random_graph(rng.randrange(2, 30), rng.choice((0.05, 0.15)),
                              rng, directed)
             s = rng.randrange(g.n)
-            full_dist, full_sigma = bfs_dag(g, s)
+            full_dist, full_sigma = eager_bfs_dag(g, s)[:2]
             for t in range(g.n):
                 cut = full_dist[t] if full_dist[t] >= 0 else g.n
-                dist, sigma = bfs_dist_sigma(g, s, stop_at=t)
+                dist, sigma = bfs_dag(g, s, stop_at=t)
                 for v in range(g.n):
                     if 0 <= full_dist[v] <= cut:
                         assert dist[v] == full_dist[v]
                         assert sigma[v] == full_sigma[v]
                     else:
                         assert dist[v] == -1
+        assert {call for call, _ in uncached} == {"swept"}
 
     @pytest.mark.parametrize("s, stop_at, message", [
         (-1, None, "source -1"), (3, None, "source 3"),
         (0, -1, "stop_at -1"), (0, 3, "stop_at 3")])
-    def test_vectorized_refuses_ids_out_of_range(self, s, stop_at, message):
+    def test_vectorized_refuses_ids_out_of_range(self, s, stop_at, message,
+                                                 uncached):
         # A flat-cell BFS would index a negative id from the end.
         with pytest.raises(ValueError,
                            match=f"^{message} out of range for n=3$"):
-            bfs_dist_sigma(path_graph(3), s, stop_at)
+            bfs_dag(path_graph(3), s, stop_at=stop_at)
+        assert not uncached
 
     @pytest.mark.parametrize("s", [-1, 3])
     def test_fill_refuses_sources_out_of_range(self, s):
@@ -440,8 +455,8 @@ class TestBfsDag:
 
 
 class TestBfsLevels:
-    """graph.bfs_levels, the one level loop of the fill, bfs_dist_sigma
-    and the exact sweep."""
+    """graph.bfs_levels, the one level loop of bfs_dist_sigma (the kernel
+    of the fill and of bfs_dag) and of the exact sweep."""
 
     @pytest.mark.parametrize("cells", [1, 100, graph._BLOCK_CELLS])
     @pytest.mark.parametrize("directed", [False, True])

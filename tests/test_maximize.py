@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact, generators, maximize, samplers
+from centmax import exact, experiments, generators, maximize, samplers
 from centmax.errors import SizeError
 from centmax.graph import Graph
 from centmax.maximize import (HyperEdgePool, build_pool, equal_budget,
@@ -58,6 +58,16 @@ class TestSampleBudget:
             sample_budget(100, 5, 0.1, maxk_scaled=0.0)
         with pytest.raises(ValueError):
             sample_budget(100, 5, 0.1, maxk_scaled=1.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_presets_refuse_fewer_than_two_nodes(self, n):
+        for budget in (lambda: sample_budget(n, 1, 0.1),
+                       lambda: experiment_budget(n, 1, 0.1),
+                       lambda: equal_budget(n, 0.1),
+                       lambda: experiments.ordering_budget(n)):
+            with pytest.raises(ValueError, match=rf"^a pool budget needs "
+                               rf"n >= 2 nodes, got n={n}$"):
+                budget()
 
 
 class TestBuildPool:

@@ -76,17 +76,17 @@ class TestBwcSampler:
                                        st.integers(0, n - 1)),
                              max_size=2 * n))),
         st.integers(0, 3), st.booleans(), st.integers(0, 2 ** 32))
-    def test_never_contains_endpoints_and_valid_ids(self, graph, isolated,
+    def test_never_contains_endpoints_and_valid_ids(self, drawn, isolated,
                                                     directed, seed):
         # Both pair samplers on both BFS back ends (the numpy one first,
-        # while the cache shows that bfs_dag never ran); each pair is
+        # while the cache shows that bfs_dag cached nothing); each pair is
         # replayed from a copy of the rng and checked against a queue BFS.
-        n, edges = graph
+        n, edges = drawn
         g = Graph(n + isolated, edges, directed=directed)
-        for limit in (0, samplers._CACHE_MAX_N):
+        for limit in (0, graph._CACHE_MAX_N):
             for sampler in (sample_bwc, sample_coverage):
                 rng = seeded(seed)
-                with mock.patch.object(samplers, "_CACHE_MAX_N", limit):
+                with mock.patch.object(graph, "_CACHE_MAX_N", limit):
                     for _ in range(10):
                         s, t = samplers._random_ordered_pair(g.n, clone(rng))
                         h = sampler(g, rng)
@@ -149,7 +149,7 @@ class TestUnreachablePairs:
         def no_bfs(*args, **kwargs):
             raise AssertionError("BFS ran for an unreachable pair")
         monkeypatch.setattr(samplers, "bfs_dag", no_bfs)
-        monkeypatch.setattr(samplers, "bfs_dist_sigma", no_bfs)
+        monkeypatch.setattr(graph, "bfs_dist_sigma", no_bfs)
         g = Graph(n, [])
         rng, ref = seeded(4), seeded(4)
         for _ in range(200):
@@ -165,11 +165,12 @@ class TestUnreachablePairs:
         # Every node but 0 has an out-edge; only node 0 has in-edges.
         g = Graph(n, [(v, 0) for v in range(1, n)], directed=True)
         calls = []
-        for name in ("bfs_dag", "bfs_dist_sigma"):
-            def counted(*args, real=getattr(samplers, name), **kwargs):
+        for module, name in ((samplers, "bfs_dag"),
+                             (graph, "bfs_dist_sigma")):
+            def counted(*args, real=getattr(module, name), **kwargs):
                 calls.append(args)
                 return real(*args, **kwargs)
-            monkeypatch.setattr(samplers, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rng, ref = seeded(5), seeded(5)
         for _ in range(300):
             before = len(calls)
@@ -310,11 +311,11 @@ class TestPairCore:
         assert g._dag_cache
         calls = []
 
-        def counted(*args, real=samplers.bfs_dist_sigma, **kwargs):
+        def counted(*args, real=graph.bfs_dist_sigma, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
-        monkeypatch.setattr(samplers, "bfs_dist_sigma", counted)
-        monkeypatch.setattr(samplers, "_CACHE_MAX_N", 0)
+        monkeypatch.setattr(graph, "bfs_dist_sigma", counted)
+        monkeypatch.setattr(graph, "_CACHE_MAX_N", 0)
         numpy = sample_many(g, spec, 300, seeded(case))
         assert calls
         assert [a.tobytes() for a in cached] == [a.tobytes() for a in numpy]
@@ -355,7 +356,6 @@ class TestPairChunks:
         g = graph_with_gaps(q + directed, directed)
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
         if not cached:
-            monkeypatch.setattr(samplers, "_CACHE_MAX_N", 0)
             monkeypatch.setattr(graph, "_CACHE_MAX_N", 0)
         want = reference_pair_many(g, kind, q, seeded(q), chunk)
         got = sample_many(g, SamplerSpec(kind), q, seeded(q))
@@ -383,15 +383,15 @@ class TestPairChunks:
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
         filled, walked = [], []
 
-        def cells(g, sources, *args, real=graph._bfs_cells, **kwargs):
+        def cells(g, sources, *args, real=graph.bfs_dist_sigma, **kwargs):
             filled.extend(sources.tolist())
             return real(g, sources, *args, **kwargs)
 
-        def dag(g, s, real=samplers.bfs_dag):
+        def dag(g, s, stop_at=None, real=samplers.bfs_dag):
             assert s in g._dag_cache, "a walk read an unfilled source"
             walked.append(s)
-            return real(g, s)
-        monkeypatch.setattr(graph, "_bfs_cells", cells)
+            return real(g, s, stop_at=stop_at)
+        monkeypatch.setattr(graph, "bfs_dist_sigma", cells)
         monkeypatch.setattr(samplers, "bfs_dag", dag)
         rng = seeded(3)
         pairs = [samplers._random_ordered_pair(g.n, rng) for _ in range(q)]
@@ -446,14 +446,14 @@ class TestPairChunks:
         g = Graph(3 * 62 + 2, diamond_chain_edges(62), directed=True)
         blocks, listed = [], []
 
-        def cells(g, sources, *args, real=graph._bfs_cells, **kwargs):
+        def cells(g, sources, *args, real=graph.bfs_dist_sigma, **kwargs):
             blocks.append(sources.tolist())
             return real(g, sources, *args, **kwargs)
 
         def dag(g, s, real=graph.bfs_dag):
             listed.append(s)
             return real(g, s)
-        monkeypatch.setattr(graph, "_bfs_cells", cells)
+        monkeypatch.setattr(graph, "bfs_dist_sigma", cells)
         monkeypatch.setattr(graph, "bfs_dag", dag)
         fill_dag_cache(g, reversed(range(g.n)))
         assert blocks == [list(range(graph._BLOCK_CELLS // g.n))]
@@ -468,20 +468,19 @@ class TestPairChunks:
 
     @staticmethod
     def watch_fill(monkeypatch):
-        """Lists of the blocks _bfs_cells gave up (None) and swept, and of
-        the sources bfs_dag's list BFS ran for, during a fill."""
+        """Lists of the blocks bfs_dist_sigma gave up (None) and swept, and
+        of the sources bfs_dag's list BFS ran for, during a fill."""
         gave_up, swept, listed = [], [], []
 
-        def cells(g, sources, stop_at=None, level_arcs=0,
-                  real=graph._bfs_cells):
-            rows = real(g, sources, stop_at, level_arcs)
+        def cells(g, sources, stop_at=None, real=graph.bfs_dist_sigma):
+            rows = real(g, sources, stop_at)
             (swept if rows else gave_up).append(sources.tolist())
             return rows
 
         def dag(g, s, real=graph.bfs_dag):
             listed.append(s)
             return real(g, s)
-        monkeypatch.setattr(graph, "_bfs_cells", cells)
+        monkeypatch.setattr(graph, "bfs_dist_sigma", cells)
         monkeypatch.setattr(graph, "bfs_dag", dag)
         return gave_up, swept, listed
 
@@ -525,13 +524,58 @@ class TestPairChunks:
     @pytest.mark.parametrize("cached", [True, False])
     def test_one_node_refused_before_any_draw(self, cached, monkeypatch):
         if not cached:
-            monkeypatch.setattr(samplers, "_CACHE_MAX_N", 0)
+            monkeypatch.setattr(graph, "_CACHE_MAX_N", 0)
         rng = seeded(1)
         state = rng.getstate()
         for kind in ("betweenness", "coverage"):
             with pytest.raises(ValueError, match="pair samplers need n >= 2"):
                 sample_many(Graph(1, []), SamplerSpec(kind), 5, rng)
         assert rng.getstate() == state
+
+
+class TestDeepPairs:
+    """Past the cache size, a pair's BFS whose levels stay thin gives the
+    numpy sweep up and lists its row instead, cut at t's level."""
+
+    n = 3000
+
+    @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_same_arrays_as_the_reference(self, directed, kind, bfs_calls):
+        g = path_graph(self.n, directed)
+        assert g.n > graph._CACHE_MAX_N
+        q = 80
+        want = reference_pair_many(g, kind, q, seeded(q), samplers._CHUNK)
+        got = sample_many(g, SamplerSpec(kind), q, seeded(q))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert "listed" in {call for call, _ in bfs_calls}
+        assert not g._dag_cache
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_rows_are_cut_at_t_swept_or_listed(self, directed, bfs_calls):
+        # From the middle of the path, a t fewer than _THIN_LEVELS steps
+        # away is reached by the sweep; a farther or unreachable t makes
+        # the kernel give up at level _THIN_LEVELS, and the list BFS runs.
+        g = path_graph(self.n, directed)
+        s = self.n // 2
+        full_dist, full_sigma = eager_bfs_dag(g, s)[:2]
+        thin = graph._THIN_LEVELS
+        for t in (s, s + 1, s + thin - 1, s + thin, s + thin + 1, s + 500,
+                  self.n - 1, s - thin, 0):
+            del bfs_calls[:]
+            dist, sigma = bfs_dag(g, s, stop_at=t)
+            if 0 <= full_dist[t] < thin:
+                assert bfs_calls == [("swept", [s])]
+            else:
+                assert bfs_calls == [("gave up", [s]), ("listed", s)]
+            cut = full_dist[t] if full_dist[t] >= 0 else g.n
+            for v in range(g.n):
+                if 0 <= full_dist[v] <= cut:
+                    assert dist[v] == full_dist[v]
+                    assert sigma[v] == full_sigma[v]
+                else:
+                    assert dist[v] == -1
+        assert not g._dag_cache
 
 
 class TestKPathSampler:
