@@ -4,8 +4,7 @@ exact oracles, graph generators, and experiment drivers."""
 from .errors import ParseError, SizeError
 from .graph import (Graph, TemporalEdgeList, bfs_dag, load_edge_list,
                     load_temporal_edge_list, write_edge_list)
-from .samplers import (SamplerSpec, alpha, sample, sample_bwc,
-                       sample_coverage, sample_kpath, sample_many, sample_rr)
+from .samplers import SamplerSpec, alpha, sample, sample_many
 from .maximize import (HyperEdgePool, RunResult, build_pool, equal_budget,
                        experiment_budget, greedy_cover, hedge, sample_budget)
 from .exact import (brandes, brute_force_max, ex_greedy, exact_coverage,

@@ -194,10 +194,14 @@ def cmd_generate(args):
 def cmd_attack(args):
     if args.cap < 0:
         raise UsageError(f"cap={args.cap} must be non-negative")
+    maximize.check_eps(args.eps)
+    samplers.check_params(args.kappa, args.p)
     g = _load_graph(args)
-    rng = random.Random(args.seed)
-    spec = "triangle" if args.sampler == "triangle" else _sampler_spec(args)
-    ordering = experiments.centrality_ordering(g, spec, rng, eps=args.eps)
+    if args.sampler == "triangle":
+        ordering = exact.triangle_greedy(g, g.n)
+    else:
+        ordering = experiments.centrality_ordering(
+            g, _sampler_spec(args), random.Random(args.seed), eps=args.eps)
     cap = min(args.cap, g.n)
     curve = experiments.attack_curve(g, ordering, cap)
     with _open_out(args.output) as fh:
@@ -219,7 +223,8 @@ def cmd_influence(args):
             raise UsageError(f"unknown influence method {method!r}")
     g = _load_graph(args)
     maximize.check_k(args.k, g.n)
-    samplers.check_p(args.p)
+    samplers.check_params(args.kappa, args.p)
+    maximize.check_eps(args.eps)
     if args.runs < 1:
         raise UsageError("--runs must be positive")
     if "im" in methods:
@@ -274,8 +279,9 @@ def cmd_sample_dump(args):
         raise UsageError("--count must be positive")
     g = _load_graph(args)
     spec = _sampler_spec(args)
-    chunks = samplers.sample_chunks(g, spec, args.count,
-                                    random.Random(args.seed))
+    chunks = map(samplers.expand,
+                 samplers.split_chunks(g, spec, args.count,
+                                       random.Random(args.seed)))
     # The first chunk is drawn before the output opens, so a refused draw
     # leaves no file behind; the rest are written as they are drawn.
     first = next(chunks)

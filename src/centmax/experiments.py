@@ -21,13 +21,8 @@ def ordering_budget(n, eps=DEFAULT_ORDERING_EPS):
 
 
 def centrality_ordering(g, spec, rng, eps=DEFAULT_ORDERING_EPS):
-    """Full greedy pick order over all nodes.
-
-    spec is a SamplerSpec, or the string "triangle" for the exact
-    triangle-cover greedy (no sampling involved).
-    """
-    if spec == "triangle":
-        return exact.triangle_greedy(g, g.n)
+    """Full greedy pick order over all nodes, from a pool of the
+    SamplerSpec's hyper-edges."""
     pool = maximize.build_pool(g, spec, ordering_budget(g.n, eps), rng)
     return maximize.greedy_cover(pool, g.n).selected
 
@@ -174,6 +169,8 @@ def snapshot_grid(temporal, count):
     times = temporal.times
     if times.size == 0:
         return []
+    # Past times.size positions the grid picks every index.
+    count = min(count, times.size)
     if count == 1:
         return times[-1:].tolist()
     picks = [round(i * (times.size - 1) / (count - 1)) for i in range(count)]

@@ -285,9 +285,11 @@ def greedy_cover(pool, k):
 
 def hedge(g, spec, k, eps, ell=1, maxk_scaled=1.0, rng=None, budget=None):
     """Full pipeline: budget (halved eps unless given explicitly), pool,
-    greedy.  Returns a RunResult with wall time.  A k, ell or maxk_scaled
-    out of range is refused before anything is drawn, whatever the budget."""
+    greedy.  Returns a RunResult with wall time.  A k, eps, ell or
+    maxk_scaled out of range is refused before anything is drawn, whatever
+    the budget."""
     check_k(k, g.n)
+    check_eps(eps)
     check_theory_params(ell, maxk_scaled)
     rng = rng if rng is not None else random.Random(0)
     if budget is None:

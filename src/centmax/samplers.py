@@ -37,7 +37,8 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Which sampler to run, plus its parameters."""
+    """Which sampler to run, plus its parameters.  Every kind is held to
+    check_params, whether it reads the parameter or not."""
     kind: str
     kappa: int = 2        # kpath only
     p: float = 0.01       # rr-influence only
@@ -45,16 +46,21 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.kind == "kpath" and self.kappa < 1:
-            raise ValueError("kappa must be a positive integer")
-        if self.kind == "rr-influence":
-            check_p(self.p)
+        check_params(self.kappa, self.p)
+
+
+def check_params(kappa, p):
+    """Refuse a kappa below 1 or an edge probability p outside [0, 1]
+    (ValueError)."""
+    if not kappa >= 1:
+        raise ValueError(f"kappa must be a positive integer, got {kappa}")
+    check_p(p)
 
 
 def check_p(p):
     """Refuse an edge probability outside [0, 1] (ValueError)."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability p must be in [0,1]")
+        raise ValueError(f"edge probability p must be in [0,1], got {p}")
 
 
 def alpha(spec, g):
@@ -65,26 +71,20 @@ def alpha(spec, g):
 
 
 def sample(g, spec, rng):
-    """Draw one hyper-edge according to spec."""
-    if spec.kind == "betweenness":
-        return sample_bwc(g, rng)
-    if spec.kind == "coverage":
-        return sample_coverage(g, rng)
+    """Draw one hyper-edge according to spec, as a frozenset: the pair
+    walk of a random ordered pair, a kpath walk, or an RR batch of one."""
+    if spec.kind in _PAIR_WALKS:
+        return frozenset(_PAIR_WALKS[spec.kind](
+            g, *_random_ordered_pair(g.n, rng), rng))
     if spec.kind == "kpath":
-        return sample_kpath(g, spec.kappa, rng)
-    return sample_rr(g, spec.p, rng)
-
-
-def sample_chunks(g, spec, q, rng):
-    """q independent hyper-edges drawn in order from rng, yielded as CSR
-    pairs of at most _CHUNK hyper-edges."""
-    return map(expand, split_chunks(g, spec, q, rng))
+        return _walk_kpath(g, spec.kappa, rng)
+    return frozenset(expand(next(_rr_chunks(g, spec.p, 1, rng)))[1].tolist())
 
 
 def split_chunks(g, spec, q, rng):
-    """The draws of sample_chunks as Split chunks.  RR sets come from numpy
-    batches, pair draws from _pair_chunks; kpath draws one sample() at a
-    time."""
+    """q independent hyper-edges drawn in order from rng, yielded as Split
+    chunks of at most _CHUNK draws.  RR sets come from numpy batches, pair
+    draws from _pair_chunks; kpath walks one draw at a time."""
     if spec.kind == "rr-influence":
         yield from _rr_chunks(g, spec.p, q, rng)
         return
@@ -92,14 +92,14 @@ def split_chunks(g, spec, q, rng):
         yield from _pair_chunks(g, _PAIR_WALKS[spec.kind], q, rng)
         return
     for start in range(0, q, _CHUNK):
-        yield split(*pack([sample(g, spec, rng)
+        yield split(*pack([_walk_kpath(g, spec.kappa, rng)
                            for _ in range(min(_CHUNK, q - start))]))
 
 
 def sample_many(g, spec, q, rng):
     """q independent hyper-edges drawn in order from rng, as one CSR
     pair."""
-    return concat(sample_chunks(g, spec, q, rng))
+    return concat(map(expand, split_chunks(g, spec, q, rng)))
 
 
 def pack(edges):
@@ -213,14 +213,10 @@ def _preds(g, dist, v):
     return [u for u in g.radj[v] if dist[u] == dvm1]
 
 
-def sample_bwc(g, rng):
-    """Internal nodes of a uniformly random shortest path between a
-    uniformly random ordered pair; empty if unreachable or adjacent."""
-    return frozenset(_walk_bwc(g, *_random_ordered_pair(g.n, rng), rng))
-
-
 def _walk_bwc(g, s, t, rng):
-    """sample_bwc's nodes for the pair (s, t), as a list from t's side."""
+    """The internal nodes of a uniformly random shortest path from s to t,
+    as a list from t's side; empty if t is unreachable from s or adjacent
+    to it."""
     dag = _pair_dag(g, s, t)
     if dag is None:
         return []
@@ -240,17 +236,11 @@ def _walk_bwc(g, s, t, rng):
     return internal
 
 
-def sample_coverage(g, rng):
-    """All internal nodes lying on any shortest path of a random ordered
-    pair (the ancestors of t in the shortest-path DAG of s, less s); empty
-    if unreachable or adjacent."""
-    return frozenset(_walk_coverage(g, *_random_ordered_pair(g.n, rng),
-                                    rng))
-
-
 def _walk_coverage(g, s, t, rng):
-    """sample_coverage's nodes for the pair (s, t), as a sorted list; rng
-    is not read."""
+    """All internal nodes lying on any shortest path from s to t (the
+    ancestors of t in the shortest-path DAG of s, less s), as a sorted list;
+    empty if t is unreachable from s or adjacent to it.  rng is not
+    read."""
     dag = _pair_dag(g, s, t)
     if dag is None:
         return []
@@ -269,11 +259,10 @@ def _walk_coverage(g, s, t, rng):
 _PAIR_WALKS = {"betweenness": _walk_bwc, "coverage": _walk_coverage}
 
 
-def sample_kpath(g, kappa, rng):
-    """Random simple walk: uniform start, then uniform unvisited neighbors,
-    stopping after kappa edges or when stuck.  The start node is included."""
-    if kappa < 1:
-        raise ValueError("kappa must be a positive integer")
+def _walk_kpath(g, kappa, rng):
+    """Random simple walk, as a frozenset: uniform start, then uniform
+    unvisited neighbors, stopping after kappa edges or when stuck.  The
+    start node is included."""
     if g.n < 1:
         raise ValueError("kpath sampler needs n >= 1")
     adj = g.adj
@@ -286,13 +275,6 @@ def sample_kpath(g, kappa, rng):
         v = options[rng.randrange(len(options))]
         visited.add(v)
     return frozenset(visited)
-
-
-def sample_rr(g, p, rng):
-    """Reverse-reachable set of a uniform target: nodes reaching it through
-    edges that are independently live with probability p.  Includes the
-    target."""
-    return frozenset(expand(next(_rr_chunks(g, p, 1, rng)))[1].tolist())
 
 
 def _batch(done, cells, q):
@@ -309,8 +291,9 @@ def _batch(done, cells, q):
 def _rr_chunks(g, p, q, rng):
     """q RR sets as Split chunks, one per batch of _batch's size (nodes in
     increasing order within a set), drawn from one numpy generator that
-    rng seeds."""
-    check_p(p)
+    rng seeds.  An RR set is the reverse-reachable set of a uniform target:
+    the nodes reaching it through edges that are independently live with
+    probability p, target included."""
     n = g.n
     if n < 1:
         raise ValueError("rr sampler needs n >= 1")

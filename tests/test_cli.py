@@ -507,6 +507,58 @@ def test_triangle_sampler_is_offered_only_on_attack(argv, capsys):
     assert "invalid choice: 'triangle'" in capsys.readouterr().err
 
 
+KAPPA, P, EPS = ("kappa must be a positive integer", "p must be in [0,1]",
+                 "eps must be positive and finite")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["maximize", "--gen", "ran:20", "--k", "2", "--p", "5"], P),
+    (["maximize", "--gen", "ran:20", "--k", "2", "--kappa", "0"], KAPPA),
+    (["maximize", "--gen", "ran:20", "--k", "2", "--sampler", "kpath",
+      "--p", "-1"], P),
+    (["maximize", "--gen", "ran:20", "--k", "2", "--budget", "explicit:100",
+      "--eps", "nan"], EPS),
+    (["sample-dump", "--gen", "ran:20", "--count", "5", "--kappa", "-3"],
+     KAPPA),
+    (["evolve", "--input", "t.txt", "--k-values", "1", "--p", "7"], P),
+    (["influence", "--gen", "ran:20", "--k", "2", "--methods", "betw",
+      "--kappa", "0"], KAPPA),
+    (["influence", "--gen", "ran:20", "--k", "2", "--methods", "tri",
+      "--kappa", "0"], KAPPA),
+    (["attack", "--gen", "ran:20", "--sampler", "rr", "--kappa", "0"], KAPPA),
+    (["attack", "--gen", "ran:20", "--sampler", "triangle", "--kappa", "0"],
+     KAPPA),
+    (["attack", "--gen", "ran:20", "--sampler", "triangle", "--p", "2"], P),
+    (["attack", "--gen", "ran:20", "--sampler", "triangle", "--eps", "nan"],
+     EPS),
+    (["attack", "--gen", "ran:20", "--sampler", "triangle", "--eps", "-1"],
+     EPS),
+    (["influence", "--gen", "ran:20", "--k", "2", "--methods", "tri",
+      "--eps", "nan"], EPS),
+    (["influence", "--gen", "ran:20", "--k", "2", "--methods", "tri",
+      "--eps", "-1"], EPS),
+    (["influence", "--gen", "ran:20", "--k", "2", "--methods", "im",
+      "--eps", "nan"], EPS),
+    (["influence", "--gen", "ran:20", "--k", "2", "--methods", "im",
+      "--eps", "-1"], EPS)])
+def test_sampler_flags_are_checked_under_every_sampler_and_method(
+        argv, message, tmp_path, monkeypatch, capsys):
+    # --kappa, --p and --eps are refused by name before any draw, also
+    # where the chosen sampler or method does not read them.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the flag checks")
+    for module, name in ((samplers, "split_chunks"), (samplers, "sample"),
+                         (exact, "triangle_greedy"),
+                         (experiments, "ic_spread")):
+        monkeypatch.setattr(module, name, no_draw)
+    temporal = write_graph(tmp_path, "0 1 5\n1 2 6\n", "t.txt")
+    argv = [temporal if a == "t.txt" else a for a in argv]
+    out = tmp_path / "out.txt"
+    assert run(argv + ["-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEvolve:
     def test_single_snapshot(self, tmp_path):
         inp = write_graph(tmp_path, "0 1 5\n1 2 5\n", "t.txt")
@@ -547,6 +599,17 @@ class TestEvolve:
                     "--eps", eps, "-o", str(out)]) == 2
         assert "eps must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_huge_snapshot_count_is_every_stamp(self, tmp_path):
+        inp = write_graph(tmp_path, "0 1 5\n1 2 6\n2 3 6\n", "t.txt")
+        rows = []
+        for count in ("3", "1000000000000"):
+            out = tmp_path / f"e{count}.csv"
+            assert run(["evolve", "--input", inp, "--num-snapshots", count,
+                        "--k-values", "1", "-o", str(out)]) == 0
+            rows.append(out.read_text().splitlines()[1:])
+        assert rows[0] == rows[1]
+        assert [row.split(",")[0] for row in rows[0][1:]] == ["5", "6"]
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_snapshot_count_is_usage_error(self, tmp_path,

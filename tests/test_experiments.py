@@ -39,7 +39,7 @@ class TestOrdering:
             100 * math.log(5242) / 0.0625)
 
     def test_triangle_method(self):
-        order = centrality_ordering(complete_graph(4), "triangle", seeded(0))
+        order = exact.triangle_greedy(complete_graph(4), 4)
         assert order[0] == 0
 
     def test_full_permutation(self):
@@ -274,6 +274,17 @@ class TestEvolve:
     def test_snapshot_grid(self):
         grid = snapshot_grid(temporal([(0, 1, t) for t in range(100)]), 5)
         assert grid[0] == 0 and grid[-1] == 99 and len(grid) == 5
+
+    @pytest.mark.parametrize("stamps", [[7], [3, 3, 3], [0, 2, 2, 5, 9, 9, 9],
+                                        list(range(40))])
+    def test_snapshot_grid_past_the_stamp_count(self, stamps):
+        # Past times.size positions the grid picks every index, so a huge
+        # count costs no more than times.size.
+        t = temporal([(0, 1, s) for s in stamps])
+        every = sorted(set(stamps))
+        assert snapshot_grid(t, 10 ** 18) == every
+        for count in range(t.times.size, 3 * t.times.size + 2):
+            assert snapshot_grid(t, count) == every
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_snapshot_grid_needs_a_positive_count(self, count):

@@ -13,12 +13,13 @@ from centmax import exact, graph, samplers
 from centmax.graph import Graph, bfs_dag, fill_dag_cache
 from centmax.maximize import build_pool
 from centmax.samplers import (KINDS, SamplerSpec, _live_positions, alpha,
-                              dump_hyperedges, pack, sample, sample_bwc,
-                              sample_coverage, sample_kpath, sample_many,
-                              sample_rr)
+                              dump_hyperedges, expand, pack, sample,
+                              sample_many, split_chunks)
 from conftest import complete_graph, cycle_graph, diamond_chain_edges, \
     eager_bfs_dag, edge_sets, exact_influence, load_hyperedges, path_graph, \
     random_graph, reference_pair_many, reference_rr_many, seeded
+
+BWC, COV = SamplerSpec("betweenness"), SamplerSpec("coverage")
 
 
 class TestSpecAndAlpha:
@@ -39,13 +40,21 @@ class TestSpecAndAlpha:
             SamplerSpec("kpath", kappa=0)
         with pytest.raises(ValueError):
             SamplerSpec("rr-influence", p=1.5)
+        # Every kind is held to both rules, whether it reads the field or
+        # not.
+        with pytest.raises(ValueError, match="kappa must be"):
+            SamplerSpec("betweenness", kappa=0)
+        with pytest.raises(ValueError, match=r"p must be in \[0,1\]"):
+            SamplerSpec("coverage", p=1.5)
+        with pytest.raises(ValueError, match=r"p must be in \[0,1\]"):
+            SamplerSpec("kpath", p=float("nan"))
 
 
 class TestBwcSampler:
     def test_unique_path(self):
         g = path_graph(3)
         rng = seeded(1)
-        seen = {sample_bwc(g, rng) for _ in range(50)}
+        seen = {sample(g, BWC, rng) for _ in range(50)}
         assert seen <= {frozenset(), frozenset({1})}
         assert frozenset({1}) in seen
 
@@ -54,7 +63,7 @@ class TestBwcSampler:
         rng = seeded(2)
         counts = Counter()
         for _ in range(20000):
-            h = sample_bwc(g, rng)
+            h = sample(g, BWC, rng)
             if h:
                 counts[min(h)] += 1
         # Antipodal pairs pick each of the two internal nodes equally.
@@ -64,11 +73,11 @@ class TestBwcSampler:
 
     def test_isolated_pair_empty(self):
         g = Graph(2, [])
-        assert sample_bwc(g, seeded(0)) == frozenset()
+        assert sample(g, BWC, seeded(0)) == frozenset()
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
-            sample_bwc(Graph(1, []), seeded(0))
+            sample(Graph(1, []), BWC, seeded(0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
@@ -84,12 +93,12 @@ class TestBwcSampler:
         n, edges = drawn
         g = Graph(n + isolated, edges, directed=directed)
         for limit in (0, graph._CACHE_MAX_N):
-            for sampler in (sample_bwc, sample_coverage):
+            for sampler in (BWC, COV):
                 rng = seeded(seed)
                 with mock.patch.object(graph, "_CACHE_MAX_N", limit):
                     for _ in range(10):
                         s, t = samplers._random_ordered_pair(g.n, clone(rng))
-                        h = sampler(g, rng)
+                        h = sample(g, sampler, rng)
                         assert all(0 <= v < g.n for v in h)
                         assert s not in h and t not in h
                         if eager_bfs_dag(g, s)[0][t] <= 1:
@@ -98,8 +107,8 @@ class TestBwcSampler:
 
     def test_deterministic_given_seed(self):
         g = random_graph(25, 0.15, seeded(4))
-        a = [sample_bwc(g, seeded(99)) for _ in range(200)]
-        b = [sample_bwc(g, seeded(99)) for _ in range(200)]
+        a = [sample(g, BWC, seeded(99)) for _ in range(200)]
+        b = [sample(g, BWC, seeded(99)) for _ in range(200)]
         assert a == b
 
     def test_uniform_over_shortest_paths(self):
@@ -119,7 +128,7 @@ class TestBwcSampler:
         counts = Counter()
         draws = 60000
         for _ in range(draws):
-            h = sample_bwc(g, rng)
+            h = sample(g, BWC, rng)
             counts[h] += 1
         # Pair (1,2) has two paths: via 0 and via 3, each prob 1/2 given
         # the pair; pair prob 2/(6*5).
@@ -132,7 +141,7 @@ class TestBwcSampler:
         from centmax.generators import gen_lower_bound
         g = gen_lower_bound(5000, 0.5)
         rng = seeded(10)
-        draws = [sample_bwc(g, rng) for _ in range(300)]
+        draws = [sample(g, BWC, rng) for _ in range(300)]
         nonempty = [h for h in draws if h]
         assert nonempty
         rows, cols = g.meta["rows"], g.meta["cols"]
@@ -144,7 +153,7 @@ class TestBwcSampler:
 
 class TestUnreachablePairs:
     @pytest.mark.parametrize("n", [10, 2100])  # cached-DAG and numpy sizes
-    @pytest.mark.parametrize("sampler", [sample_bwc, sample_coverage])
+    @pytest.mark.parametrize("sampler", [BWC, COV])
     def test_edgeless_graph_skips_bfs(self, n, sampler, monkeypatch):
         def no_bfs(*args, **kwargs):
             raise AssertionError("BFS ran for an unreachable pair")
@@ -153,13 +162,13 @@ class TestUnreachablePairs:
         g = Graph(n, [])
         rng, ref = seeded(4), seeded(4)
         for _ in range(200):
-            assert sampler(g, rng) == frozenset()
+            assert sample(g, sampler, rng) == frozenset()
             samplers._random_ordered_pair(n, ref)
         # Only the pair is drawn, as on the path that runs the BFS.
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("n", [10, 2100])
-    @pytest.mark.parametrize("sampler", [sample_bwc, sample_coverage])
+    @pytest.mark.parametrize("sampler", [BWC, COV])
     def test_bfs_runs_only_if_t_may_be_reachable(self, n, sampler,
                                                  monkeypatch):
         # Every node but 0 has an out-edge; only node 0 has in-edges.
@@ -174,7 +183,7 @@ class TestUnreachablePairs:
         rng, ref = seeded(5), seeded(5)
         for _ in range(300):
             before = len(calls)
-            assert sampler(g, rng) == frozenset()
+            assert sample(g, sampler, rng) == frozenset()
             _, t = samplers._random_ordered_pair(n, ref)
             assert (len(calls) > before) == (t == 0)
 
@@ -197,7 +206,7 @@ class TestCoverageSampler:
         rng = seeded(1)
         seen = set()
         for _ in range(200):
-            h = sample_coverage(g, rng)
+            h = sample(g, COV, rng)
             if h:
                 seen.add(h)
         assert seen == {frozenset({1, 3}), frozenset({0, 2})}
@@ -205,18 +214,18 @@ class TestCoverageSampler:
     def test_p3(self):
         g = path_graph(3)
         rng = seeded(2)
-        nonempty = {h for h in (sample_coverage(g, rng) for _ in range(100)) if h}
+        nonempty = {h for h in (sample(g, COV, rng) for _ in range(100)) if h}
         assert nonempty == {frozenset({1})}
 
     def test_adjacent_pair_empty(self):
         g = complete_graph(4)
         for i in range(50):
-            assert sample_coverage(g, seeded(i)) == frozenset()
+            assert sample(g, COV, seeded(i)) == frozenset()
 
     def test_directed_uses_reverse_bfs(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], directed=True)
         rng = seeded(3)
-        seen = {h for h in (sample_coverage(g, rng) for _ in range(300)) if h}
+        seen = {h for h in (sample(g, COV, rng) for _ in range(300)) if h}
         assert frozenset({1, 2}) not in seen  # d(0,3)=1 kills the long route
         assert frozenset({1}) in seen  # pair (0,2)
         assert frozenset({2}) in seen  # pair (1,3)
@@ -254,12 +263,12 @@ def check_pair_samplers(g, rg, rng):
     ref, walk = clone(rng), clone(rng)
     s, t = samplers._random_ordered_pair(g.n, ref)
     d, cover, dist_s = on_shortest_paths(g, rg, s, t)
-    h = sample_coverage(g, rng)
+    h = sample(g, COV, rng)
     # Coverage draws the pair and nothing else.
     assert rng.getstate() == ref.getstate()
     unlinked = d <= 1
     assert h == (frozenset() if unlinked else cover)
-    path = sample_bwc(g, walk)
+    path = sample(g, BWC, walk)
     if unlinked:
         assert path == frozenset()
         return h
@@ -365,11 +374,12 @@ class TestPairChunks:
             assert set(pair_kinds(g, q, seeded(q))) == {
                 "unreachable", "adjacent", "linked"}
 
-    @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_a_single_draw_keeps_its_stream(self, kind):
-        # A batch of one is still "pair, then walk", as sample() draws it.
+        # A batch of one draws as sample() does: a pair, then its walk; a
+        # kpath walk; an RR batch of one.
         g = graph_with_gaps(5, False)
-        spec = SamplerSpec(kind)
+        spec = SamplerSpec(kind, kappa=3, p=0.3)
         for seed in range(40):
             one = edge_sets(sample_many(g, spec, 1, seeded(seed)))
             assert one == [sample(g, spec, seeded(seed))]
@@ -582,38 +592,42 @@ class TestKPathSampler:
     def test_isolated_start(self):
         g = Graph(3, [(1, 2)])
         for i in range(20):
-            h = sample_kpath(g, 3, seeded(i))
+            h = sample(g, SamplerSpec("kpath", kappa=3), seeded(i))
             if 0 in h:
                 assert h == frozenset({0})
 
     def test_forced_step(self):
         g = path_graph(2)
+        spec = SamplerSpec("kpath", kappa=1)
         for i in range(10):
-            assert sample_kpath(g, 1, seeded(i)) == frozenset({0, 1})
+            assert sample(g, spec, seeded(i)) == frozenset({0, 1})
 
     def test_k3_two_steps_visits_all(self):
         g = complete_graph(3)
+        spec = SamplerSpec("kpath", kappa=2)
         for i in range(30):
-            assert len(sample_kpath(g, 2, seeded(i))) == 3
+            assert len(sample(g, spec, seeded(i))) == 3
 
     def test_walk_is_simple_and_bounded(self):
         rng = seeded(4)
         g = random_graph(20, 0.2, rng)
         for _ in range(200):
-            h = sample_kpath(g, 4, rng)
+            h = sample(g, SamplerSpec("kpath", kappa=4), rng)
             assert 1 <= len(h) <= 5
 
 
 class TestRRSampler:
     def test_p_zero(self):
         g = complete_graph(5)
+        spec = SamplerSpec("rr-influence", p=0.0)
         for i in range(10):
-            assert len(sample_rr(g, 0.0, seeded(i))) == 1
+            assert len(sample(g, spec, seeded(i))) == 1
 
     def test_p_one_full_reverse_reachability(self):
         g = Graph(3, [(0, 1), (1, 2)], directed=True)
         rng = seeded(1)
-        draws = {sample_rr(g, 1.0, rng) for _ in range(100)}
+        spec = SamplerSpec("rr-influence", p=1.0)
+        draws = {sample(g, spec, rng) for _ in range(100)}
         assert draws == {frozenset({0}), frozenset({0, 1}),
                          frozenset({0, 1, 2})}
 
@@ -621,13 +635,13 @@ class TestRRSampler:
         g = Graph(2, [(0, 1)], directed=True)
         rng = seeded(2)
         for _ in range(50):
-            h = sample_rr(g, 1.0, rng)
+            h = sample(g, SamplerSpec("rr-influence", p=1.0), rng)
             if 1 in h:
                 assert h == frozenset({0, 1})
 
     def test_bad_p(self):
         with pytest.raises(ValueError):
-            sample_rr(complete_graph(3), -0.1, seeded(0))
+            SamplerSpec("rr-influence", p=-0.1)
 
 
 # Small graphs whose live-edge worlds can all be enumerated: 10 directed
@@ -666,7 +680,7 @@ class TestRRBatch:
             pool = edge_sets(build_pool(g, spec, draws, rng))
         else:
             draws = 15000
-            pool = [sample_rr(g, p, rng) for _ in range(draws)]
+            pool = [sample(g, spec, rng) for _ in range(draws)]
         pick = seeded(32)
         for size in (1, 1, 2, 2, 3):
             S = set(pick.sample(range(g.n), size))
@@ -700,8 +714,8 @@ class TestRRBatch:
         a = edge_sets(build_pool(g, spec, 5000, seeded(9)))
         b = edge_sets(build_pool(g, spec, 5000, seeded(9)))
         assert a == b
-        assert [sample_rr(g, 0.5, seeded(i)) for i in range(50)] == \
-            [sample_rr(g, 0.5, seeded(i)) for i in range(50)]
+        assert [sample(g, spec, seeded(i)) for i in range(50)] == \
+            [sample(g, spec, seeded(i)) for i in range(50)]
 
     def test_tiny_p_gives_only_the_targets(self):
         g = random_graph(40, 0.2, seeded(10), directed=True)
@@ -729,7 +743,7 @@ class TestRRBatch:
         got = sample_many(g, spec, q, seeded(case))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert [len(edge_sets(c)) for c in
-                samplers.sample_chunks(g, spec, q, seeded(case))] == batches
+                map(expand, split_chunks(g, spec, q, seeded(case)))] == batches
         pool = build_pool(g, spec, q, seeded(case))
         assert len(pool) == q
         assert Counter(edge_sets(pool)) == Counter(edge_sets(got))
@@ -743,8 +757,8 @@ class TestRRBatch:
                                             monkeypatch):
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
         g = Graph(9, [(i, (i + 1) % 9) for i in range(9)], directed=True)
-        chunks = list(samplers.sample_chunks(
-            g, SamplerSpec("rr-influence", p=p), sum(batches), seeded(12)))
+        chunks = list(map(expand, split_chunks(
+            g, SamplerSpec("rr-influence", p=p), sum(batches), seeded(12))))
         assert [len(edge_sets(c)) for c in chunks] == batches
 
     @pytest.mark.parametrize("seed", [1, 3, 4, 5, 10])
@@ -870,9 +884,8 @@ class TestDispatchAndDump:
         ptr, nodes = sample_many(complete_graph(4), SamplerSpec(kind), 0,
                                  seeded(0))
         assert ptr.tolist() == [0] and nodes.size == 0
-        assert list(samplers.sample_chunks(complete_graph(4),
-                                           SamplerSpec(kind), 0,
-                                           seeded(0))) == []
+        assert list(split_chunks(complete_graph(4), SamplerSpec(kind), 0,
+                                 seeded(0))) == []
 
     def test_dispatch(self):
         g = complete_graph(4)
@@ -897,8 +910,8 @@ class TestUnbiasedness:
         n = g.n
         draws = 50000
         r = seeded(78)
-        pool_b = [sample_bwc(g, r) for _ in range(draws)]
-        pool_c = [sample_coverage(g, r) for _ in range(draws)]
+        pool_b = [sample(g, BWC, r) for _ in range(draws)]
+        pool_c = [sample(g, COV, r) for _ in range(draws)]
         for _ in range(5):
             S = set(rng.sample(range(n), 2))
             for pool, oracle in ((pool_b, exact.set_bwc),
@@ -931,7 +944,8 @@ class TestUnbiasedness:
         g = random_graph(10, 0.3, rng)
         draws = 50000
         r = seeded(80)
-        pool = [sample_kpath(g, 3, r) for _ in range(draws)]
+        spec = SamplerSpec("kpath", kappa=3)
+        pool = [sample(g, spec, r) for _ in range(draws)]
         for _ in range(5):
             S = set(rng.sample(range(g.n), 2))
             p = exact.exact_kpath(g, S, 3) / g.n
