@@ -227,6 +227,7 @@ def cmd_influence(args):
     maximize.check_eps(args.eps)
     if args.runs < 1:
         raise UsageError("--runs must be positive")
+    experiments.check_runs(args.runs)
     if "im" in methods:
         maximize.check_pool_size(args.num_rr)
     if not _ORDERING_METHODS.keys().isdisjoint(methods):

@@ -124,14 +124,14 @@ def adaptive_bwc_all(g, nodes, blocks=None):
     unblocked[list(nodes)] = 0.0
     marg = np.zeros(g.n)
     for i, block in enumerate(_blocks(g, held)):
-        cell_open = np.tile(unblocked, len(block.origin))
         tau = block.sigma
         if nodes:
-            tau, levels = _avoiding(block, cell_open)
+            tau, levels = _avoiding(block, np.tile(unblocked,
+                                                   len(block.origin)))
             block = block._replace(levels=levels, narrowed=nodes)
             if i < len(held):
                 held[i] = block
-        marg += _dependency(block, tau, cell_open)
+        marg += _dependency(block, tau)
     return (marg * unblocked).tolist()
 
 
@@ -206,21 +206,25 @@ def _bfs_block(g, sources):
     return _Block(origin, sigma, levels)
 
 
-def _dependency(block, tau, cell_open):
+def _dependency(block, tau):
     """Pass 3 of the sweep: the sum over the block's sources of
     tau(u) * delta(u) per node u, where tau (pass 2) counts the
     source-to-u shortest paths whose internal nodes are open and delta(u)
     sums, over targets t beyond u, the open continuations from u to t
-    divided by sigma(t).  Endpoints are exempt from the set."""
+    divided by sigma(t).  Endpoints are exempt from the set.
+
+    The block must be narrowed for the set (see _avoiding): then no arc
+    past the first level leaves a blocked cell, so a blocked child's
+    delta is 0 and it adds only itself as a target."""
     origin, sigma = block.origin, block.sigma
-    # Backward accumulation; a blocked child adds only itself as a target.
-    inv = np.zeros(sigma.size)
-    reached = sigma > 0
-    inv[reached] = 1.0 / sigma[reached]
+    # 1 / sigma is read only at child cells, all of them reached.
+    with np.errstate(divide="ignore"):
+        inv = np.reciprocal(sigma)
     delta = np.zeros(sigma.size)
     for parent, child in reversed(block.levels):
-        contrib = inv[child] + delta[child] * cell_open[child]
-        np.add.at(delta, parent, contrib)
+        child = child.astype(np.intp, copy=False)
+        contrib = inv[child] + delta[child]
+        np.add.at(delta, parent.astype(np.intp, copy=False), contrib)
     dep = tau * delta
     dep[origin] = 0.0
     return dep.reshape(len(origin), -1).sum(axis=0)
@@ -241,14 +245,16 @@ def _avoiding(block, cell_open):
     tau[origin] = 1.0
     levels = []
     for i, (parent, child) in enumerate(block.levels):
-        weight = tau[parent] if i == 0 else tau[parent] * cell_open[parent]
-        live = weight > 0
-        count = np.count_nonzero(live)
-        if not count:
+        # numpy casts an index array that is not intp, as the int16 cells
+        # of a held level are, on every gather: cast once instead.
+        cells = parent.astype(np.intp, copy=False)
+        weight = tau[cells] if i == 0 else tau[cells] * cell_open[cells]
+        live = (weight > 0).nonzero()[0]
+        if not live.size:
             break
-        if count < live.size:
+        if live.size < weight.size:
             parent, child, weight = parent[live], child[live], weight[live]
-        np.add.at(tau, child, weight)
+        np.add.at(tau, child.astype(np.intp, copy=False), weight)
         levels.append((parent, child))
     return tau, levels
 

@@ -223,15 +223,19 @@ def _walk_bwc(g, s, t, rng):
     dist, sigma = dag
     # Walk backward from t, picking each predecessor u with probability
     # sigma(u)/sigma(v); exact uniformity over all shortest paths.
+    # The predecessors are scanned in id order, as _preds lists them.
+    radj = g.radj
     internal = []
     v = t
     while dist[v] > 1:
         r = rng.randrange(sigma[v])
-        for u in _preds(g, dist, v):
-            r -= sigma[u]
-            if r < 0:
-                v = u
-                break
+        dvm1 = dist[v] - 1
+        for u in radj[v]:
+            if dist[u] == dvm1:
+                r -= sigma[u]
+                if r < 0:
+                    v = u
+                    break
         internal.append(v)
     return internal
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from centmax import exact, experiments, maximize, samplers
+from centmax import exact, experiments, generators, maximize, samplers
 from centmax.cli import _load_graph, main
 from centmax.maximize import build_pool, sample_budget
 from centmax.generators import gen_kronecker, gen_ran
@@ -326,6 +326,24 @@ class TestGenerate:
                         header="generator=ran n=30 seed=5")
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "ran:9223372036854775808"],
+        ["generate", "lowerbound:100000000000,0.001"],
+        ["generate", "kron:22"],
+        ["maximize", "--gen", "ran:9223372036854775808", "--k", "1"]])
+    def test_oversized_generator_is_refused_unbuilt(self, argv, tmp_path,
+                                                    monkeypatch, capsys):
+        # The edge guard comes before any loop or allocation: neither the
+        # graph nor the generator's random stream is ever made.
+        def never(*args, **kwargs):
+            raise AssertionError("a refused graph was built")
+        for name in ("Graph", "RanState", "_np_rng"):
+            monkeypatch.setattr(generators, name, never)
+        out = tmp_path / "big.txt"
+        assert run(argv + ["-o", str(out)]) == 3
+        assert "past the generator guard 10000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_takes_seed_matrix(self):
         args = argparse.Namespace(gen="kron:6,0.8,0.4,0.3,0.1", seed=5)
         g = _load_graph(args)
@@ -472,6 +490,19 @@ class TestInfluence:
         assert run(["influence", "--gen", "ran:40", "--k", "2",
                     "--methods", methods, flag, value, "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runs_past_the_guard_are_refused_before_any_method(
+            self, tmp_path, monkeypatch, capsys):
+        def no_method(*args, **kwargs):
+            raise AssertionError("a method ran before the runs guard")
+        monkeypatch.setattr(experiments, "ris_influence_max", no_method)
+        monkeypatch.setattr(experiments, "ic_spread", no_method)
+        out = tmp_path / "r.csv"
+        assert run(["influence", "--gen", "ran:20", "--k", "2",
+                    "--runs", "9223372036854775808", "-o", str(out)]) == 3
+        assert "runs=9223372036854775808 exceeds the guard" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_same_flags_same_output(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -326,6 +327,105 @@ class TestNarrowing:
         # A larger set may read them, and gets the floats of a fresh sweep.
         assert (adaptive_bwc_all(g, {1, 2}, held)
                 == adaptive_bwc_all(g, {1, 2}))
+
+
+def directed_kron8():
+    """kron:8 as a directed graph, every third edge reversed."""
+    k = generators.gen_kronecker([[0.9, 0.5], [0.5, 0.2]], 8, seeded(8))
+    return Graph(k.n, [(v, u) if i % 3 == 2 else (u, v)
+                       for i, (u, v) in enumerate(k.edges())],
+                 directed=True)
+
+
+def sinks_and_sources():
+    """A directed graph with sinks 3 and 6 and sources 0 and 5; its fourth
+    ex_greedy pick is the source 0."""
+    return Graph(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (5, 1),
+                     (2, 6)], directed=True)
+
+
+PINNED_GRAPHS = {"ran300": lambda: generators.gen_ran(300, seeded(300)),
+                 "kron8-directed": directed_kron8,
+                 "sinks": sinks_and_sources}
+
+
+def hexes(values):
+    return " ".join(float(x).hex() for x in values)
+
+
+class TestPinnedBits:
+    """The exact oracles' floats, bit for bit: ex_greedy(g, 5) picks and
+    scores, brandes (as the sha1 of its hex list) and set_bwc of the
+    picks.  A faster kernel or pass must leave every bit as it is."""
+
+    WANT = {
+        "ran300": (
+            [7, 0, 3, 8, 10],
+            "0x1.363f3af9c8610p+15 0x1.fc2792a4a670ep+15 "
+            "0x1.26214e42272cep+16 0x1.371a3371baa1fp+16 "
+            "0x1.3dbf901d24f21p+16",
+            "b34d9b9f7e5b5d97a26b30610b26f446b10945d1",
+            "0x1.3dbf901d24f20p+16"),
+        "kron8-directed": (
+            [1, 0, 2, 16, 160],
+            "0x1.9e00000000000p+9 0x1.02c0000000000p+10 "
+            "0x1.2b40000000000p+10 0x1.3c00000000000p+10 "
+            "0x1.47a0000000000p+10",
+            "e62d4bfff8112ee3b5467abd8d61725ce263a8e8",
+            "0x1.47a0000000000p+10"),
+        "sinks": (
+            [1, 2, 4, 0, 3],
+            "0x1.4000000000000p+2 0x1.c000000000000p+2 "
+            "0x1.0000000000000p+3 0x1.0000000000000p+3 "
+            "0x1.0000000000000p+3",
+            "df242eb90c4efa0438fc28d96c302479f49de905",
+            "0x1.0000000000000p+3"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WANT))
+    def test_bits(self, name):
+        g = PINNED_GRAPHS[name]()
+        picks, scores, brandes_sha1, set_hex = self.WANT[name]
+        got_picks, got_scores = ex_greedy(g, 5)
+        assert got_picks == picks
+        assert hexes(got_scores) == scores
+        assert hashlib.sha1(hexes(brandes(g)).encode()).hexdigest() \
+            == brandes_sha1
+        assert set_bwc(g, picks).hex() == set_hex
+
+    def test_sinks_graph_brandes(self):
+        assert brandes(sinks_and_sources()) == [0.0, 5.0, 5.0, 0.0, 1.0,
+                                                0.0, 0.0]
+
+
+class TestHeldInvariant:
+    """What lets _dependency read delta without an open mask: once
+    adaptive_bwc_all has narrowed the held blocks for the chosen set, no
+    arc past the first level leaves a chosen node."""
+
+    @pytest.mark.parametrize("block_cells", [7, 100, graph._BLOCK_CELLS])
+    @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+    def test_no_held_arc_leaves_a_chosen_node(self, name, block_cells,
+                                              monkeypatch):
+        g = PINNED_GRAPHS[name]()
+        rounds = []
+        sweep = exact.adaptive_bwc_all
+
+        def checked(graph_, nodes, blocks=None):
+            marg = sweep(graph_, nodes, blocks)
+            chosen = np.array(sorted(nodes), dtype=np.int64)
+            assert blocks
+            for block in blocks:
+                for parent, _ in block.levels[1:]:
+                    assert not np.isin(parent.astype(np.int64) % g.n,
+                                       chosen).any()
+            rounds.append(len(nodes))
+            return marg
+
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(exact, "adaptive_bwc_all", checked)
+        ex_greedy(g, 5)
+        assert rounds == [0, 1, 2, 3, 4]
 
 
 class TestBrandes:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centmax import exact, samplers
+from centmax.errors import SizeError
 from centmax.experiments import (attack_curve, centrality_ordering, evolve,
                                  ic_spread, ordering_budget,
                                  ris_influence_max, snapshot_grid)
@@ -208,6 +209,11 @@ class TestLiveEdgeCascades:
     def test_nonpositive_runs_is_refused(self):
         with pytest.raises(ValueError, match="runs must be positive"):
             ic_spread(path_graph(3), [0], 0.5, runs=0, rng=seeded(0))
+
+    @pytest.mark.parametrize("runs", [10 ** 7 + 1, 2 ** 63])
+    def test_runs_past_the_pool_guard_are_refused(self, runs):
+        with pytest.raises(SizeError, match=f"runs={runs} exceeds the guard"):
+            ic_spread(path_graph(3), [0], 0.5, runs=runs, rng=seeded(0))
 
 
 class TestRisInfluenceMax:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from centmax import generators
+from centmax.errors import SizeError
 from centmax.exact import brandes
 from centmax.generators import (RanState, expected_kronecker_edges,
                                 gen_hypercube, gen_kronecker,
@@ -185,3 +186,44 @@ class TestLowerBound:
     def test_degenerate(self):
         with pytest.raises(ValueError):
             gen_lower_bound(16, 0.1)
+
+
+class Built(Exception):
+    """Raised in place of the first loop or allocation of a generator."""
+
+
+class TestEdgeGuard:
+    """Every generator counts its edges in closed form and refuses more
+    than 10^7 before it loops or allocates; no refused size is built."""
+
+    @pytest.fixture(autouse=True)
+    def unbuilt(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise Built
+        for name in ("Graph", "RanState", "_np_rng"):
+            monkeypatch.setattr(generators, name, built)
+
+    @pytest.mark.parametrize("make, edges", [
+        (lambda: gen_ran(3_333_336, seeded(0)), 10_000_002),
+        (lambda: gen_ran(2 ** 63, seeded(0)), 3 * 2 ** 63 - 6),
+        # The expected count (a + b + c + d)^i: 2.1^22 for the default seed.
+        (lambda: gen_kronecker(CORE_PERIPHERY, 22, seeded(0)),
+         round(2.1 ** 22)),
+        (lambda: gen_kronecker([[1, 1], [1, 1]], 12, seeded(0)), 4 ** 12),
+        # rows * C(cols, 2) + cols * C(rows, 2) for 316 x 316227.
+        (lambda: gen_lower_bound(10 ** 11, 0.001),
+         316 * math.comb(316227, 2) + 316227 * math.comb(316, 2))])
+    def test_refused_by_count(self, make, edges):
+        with pytest.raises(SizeError,
+                           match=f"would have {edges} edges, past the "
+                                 f"generator guard 10000000$"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_ran(3_333_335, seeded(0)),
+        lambda: gen_kronecker(CORE_PERIPHERY, 21, seeded(0)),
+        lambda: gen_lower_bound(400, 0.5),
+        lambda: gen_hypercube(16)])
+    def test_sizes_within_the_guard_go_on(self, make):
+        with pytest.raises(Built):
+            make()

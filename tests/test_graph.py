@@ -488,6 +488,73 @@ class TestBfsLevels:
                         assert set(levels[d][0].tolist()) <= set(
                             child.tolist())
 
+    @staticmethod
+    def eager_levels(g, sources):
+        """The DAG arcs of eager_bfs_dag from every source, as bfs_levels
+        yields them: per distance, (parent cell, child cell) in parent then
+        arc order."""
+        n, levels = g.n, []
+        for i, s in enumerate(sources):
+            dist, _, preds = eager_bfs_dag(g, s)
+            for v in range(n):
+                for u in preds[v]:
+                    while len(levels) < dist[v]:
+                        levels.append([])
+                    levels[dist[v] - 1].append((i * n + u, i * n + v))
+        return [sorted(arcs) for arcs in levels]
+
+    @pytest.mark.parametrize("sink", [1, 2, 3], ids=["first", "middle",
+                                                      "last"])
+    @pytest.mark.parametrize("sources", [[0], [0, 6], [6, 0, 3]])
+    def test_frontier_cells_without_out_arcs(self, sink, sources):
+        # Node 0 reaches 1, 2 and 3; the sink among them has no out-arc,
+        # so the arc positions of level 2 skip its cell first, in the
+        # middle or last.  Node 6 reaches 0 and the sink directly.
+        arcs = [(0, 1), (0, 2), (0, 3), (6, 0), (6, sink)]
+        arcs += [(v, w) for v in (1, 2, 3) if v != sink for w in (4, 5)]
+        g = Graph(7, arcs + [(4, 5)], directed=True)
+        levels = list(graph.bfs_levels(g, np.array(sources)))
+        assert [list(zip(p.tolist(), c.tolist())) for p, c in levels] \
+            == self.eager_levels(g, sources)
+
+    @pytest.mark.parametrize("g", [path_graph(40), star_graph(30),
+                                   path_graph(40, directed=True)],
+                             ids=["path", "star", "directed-path"])
+    def test_sorted_and_marked_frontiers(self, g):
+        # A path level has one child per source, so its next frontier is
+        # sorted; a star's second level reaches most of the block, so its
+        # frontier is read off the marked cells.
+        sources = list(range(g.n))
+        levels = list(graph.bfs_levels(g, np.array(sources)))
+        assert [list(zip(p.tolist(), c.tolist())) for p, c in levels] \
+            == self.eager_levels(g, sources)
+
+    @pytest.mark.parametrize("n, edges, sources", [
+        (5, [(0, 1)], [2, 3, 4]), (2, [], [0, 1]), (2, [], [1]),
+        (1, [], [0])])
+    def test_isolated_sources_yield_nothing(self, n, edges, sources):
+        assert list(graph.bfs_levels(Graph(n, edges),
+                                     np.array(sources))) == []
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_two_nodes(self, directed):
+        g = Graph(2, [(0, 1)], directed=directed)
+        levels = [(p.tolist(), c.tolist())
+                  for p, c in graph.bfs_levels(g, np.array([0, 1]))]
+        # Cells: source 0 at 0 and 1, source 1 at 2 and 3.
+        assert levels == ([([0], [1])] if directed
+                          else [([0, 3], [1, 2])])
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("values, want", [
+        ([], []), ([7], [7]), ([3, 3, 3], [3]),
+        ([-2, -2, 0, 5, 5], [-2, 0, 5])])
+    def test_distinct_values_of_sorted_arrays(self, values, want):
+        got = graph._distinct(np.array(values, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
 
 class TestLazyPreds:
     @pytest.mark.parametrize("directed", [False, True])
