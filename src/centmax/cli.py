@@ -278,6 +278,9 @@ def cmd_evolve(args):
 def cmd_sample_dump(args):
     if args.count < 1:
         raise UsageError("--count must be positive")
+    if args.count > maximize._POOL_GUARD:
+        raise SizeError(f"--count={args.count} exceeds the guard "
+                        f"{maximize._POOL_GUARD}")
     g = _load_graph(args)
     spec = _sampler_spec(args)
     chunks = map(samplers.expand,

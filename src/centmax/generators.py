@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from .graph import Graph
 _KRON_EXACT_MAX_I = 12
 # The exact path draws blocks of 2^_KRON_BLOCK_LEVELS rows of the matrix.
 _KRON_BLOCK_LEVELS = 8
+# The ball path drops its balls in blocks of this many, so that only one
+# block's (balls, i) cell arrays are held at a time.
+_KRON_BALL_BLOCK = 1 << 16
 # No generator builds a graph of more edges than this, counted in closed
 # form before any loop or allocation: ran:10^6 takes 3.2 s and 640 MB and
 # kron:20 1.6 s and 907 MB, while ran:2^63 would run until killed.
@@ -101,14 +105,17 @@ def gen_kronecker(seed, i, rng):
         # with the per-pair Bernoulli model.
         count = int(nrng.poisson(mass ** i / 2.0))
         # count > 0 implies mass > 0; an all-zero seed drops no balls.
+        # With p given, choice reads one double per cell in C order, so the
+        # blocks draw the stream of one (count, i) draw.
         cell_p = (p / mass).ravel() if count else None
-        cells = nrng.choice(4, size=(count, i), p=cell_p)
-        rows = cells // 2
-        cols = cells % 2
         weights = (1 << np.arange(i - 1, -1, -1, dtype=np.int64))
-        us = (rows * weights).sum(axis=1)
-        vs = (cols * weights).sum(axis=1)
-        edges = np.column_stack((us, vs))
+        blocks = [np.zeros((0, 2), dtype=np.int64)]
+        for start in range(0, count, _KRON_BALL_BLOCK):
+            cells = nrng.choice(4, p=cell_p, size=(
+                min(_KRON_BALL_BLOCK, count - start), i))
+            blocks.append(np.column_stack(((cells // 2) @ weights,
+                                           (cells % 2) @ weights)))
+        edges = np.concatenate(blocks)
     meta = {"generator": "kronecker", "i": i, "method": method,
             "seed_matrix": [float(x) for row in p for x in row]}
     return Graph(n, edges, directed=False, meta=meta)
@@ -171,6 +178,11 @@ def gen_lower_bound(n, eps):
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
+    # With rows >= 2 the component has at least cols^2 edges, about n; an
+    # n past the float range is refused before math.sqrt overflows on it.
+    if n > sys.float_info.max:
+        raise SizeError(f"lowerbound:{n},{eps} would have over 1e308 edges, "
+                        f"past the generator guard {_EDGE_GUARD}")
     root = math.sqrt(n)
     rows = int(eps * root)
     cols = int(root)

@@ -9,8 +9,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -136,18 +138,16 @@ def sample_budget(n, k, eps, ell=1, maxk_scaled=1.0):
     maxk_scaled is the (estimated) optimum divided by alpha; the default 1
     is the optimistic dense-optimum assumption.
     """
-    check_budget_n(n)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_budget_k(n, k)
     check_theory_params(ell, maxk_scaled)
+    if ell > sys.float_info.max:
+        raise SizeError(f"ell={ell} is past the float range of the budget")
     return pool_budget(3.0 * (ell + k) * math.log(n), eps, maxk_scaled)
 
 
 def experiment_budget(n, k, eps):
     """The empirical preset: ceil(k ln(n) / eps^2)."""
-    check_budget_n(n)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_budget_k(n, k)
     return pool_budget(k * math.log(n), eps)
 
 
@@ -161,6 +161,16 @@ def check_budget_n(n):
     """Refuse a graph of fewer than two nodes, whose ln(n) is not positive."""
     if n < 2:
         raise ValueError(f"a pool budget needs n >= 2 nodes, got n={n}")
+
+
+def check_budget_k(n, k):
+    """check_budget_n, then refuse a pick count outside 1..n (ValueError)
+    before it enters a float."""
+    check_budget_n(n)
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if k > n:
+        raise ValueError(f"k={k} exceeds node count {n}")
 
 
 def check_theory_params(ell, maxk_scaled):
@@ -239,47 +249,35 @@ def greedy_cover(pool, k):
     check_k(k, pool.n)
     ptr, node_edges = pool.node_ptr.tolist(), pool.node_edges
     alive = np.ones(pool.edge_ptr.size - 1, dtype=bool)
-    covered = 0
-    selected = []
-    chosen = bytearray(pool.n)
-    cursor = 0  # every id below it is chosen
-    marginals = []
-    estimates = []
     singles = pool.singles.tolist()
-    # (-degree, node), one entry per unchosen node of nonzero degree;
-    # stale entries are re-scored on pop.  A node's degree is its one-node
-    # hyper-edges plus its alive CSR ones.
+    selected, marginals = [], []
+    # (-degree, node), one entry per unpicked node of positive degree;
+    # stale entries are re-scored on pop, and dropped once at zero.  A
+    # node's degree is its one-node hyper-edges plus its alive CSR ones.
     degree = np.diff(pool.node_ptr) + pool.singles
     nodes = np.flatnonzero(degree)
     heap = list(zip((-degree[nodes]).tolist(), nodes.tolist()))
     heapq.heapify(heap)
-    total = len(pool)
-    for _ in range(k):
-        pick = None
-        while heap:
-            negd, v = heapq.heappop(heap)
-            if negd == 0:
-                heap = []  # every degree is zero; take ids in order
-                break
-            fresh = singles[v] + int(np.count_nonzero(
-                alive[node_edges[ptr[v]:ptr[v + 1]]]))
-            if fresh != -negd:
-                heapq.heappush(heap, (-fresh, v))
-                continue
-            pick = v
-            break
-        if pick is None:
-            while chosen[cursor]:
-                cursor += 1
-            pick = cursor
-        hit = node_edges[ptr[pick]:ptr[pick + 1]]
-        gained = singles[pick] + int(np.count_nonzero(alive[hit]))
+    while heap and len(selected) < k:
+        negd, v = heapq.heappop(heap)
+        hit = node_edges[ptr[v]:ptr[v + 1]]
+        gained = singles[v] + int(np.count_nonzero(alive[hit]))
+        if gained != -negd:
+            if gained:
+                heapq.heappush(heap, (-gained, v))
+            continue
         alive[hit] = False
-        covered += gained
-        chosen[pick] = 1
-        selected.append(pick)
+        selected.append(v)
         marginals.append(gained)
-        estimates.append(pool.alpha * covered / total if total else 0.0)
+    missing = k - len(selected)
+    if missing:
+        unused = np.ones(pool.n, dtype=bool)
+        unused[selected] = False
+        selected += np.flatnonzero(unused)[:missing].tolist()
+        marginals += [0] * missing
+    total = len(pool)
+    estimates = [pool.alpha * covered / total if total else 0.0
+                 for covered in accumulate(marginals)]
     return RunResult(selected, marginals, estimates, total, alpha=pool.alpha)
 
 

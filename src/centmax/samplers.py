@@ -74,8 +74,8 @@ def sample(g, spec, rng):
     """Draw one hyper-edge according to spec, as a frozenset: the pair
     walk of a random ordered pair, a kpath walk, or an RR batch of one."""
     if spec.kind in _PAIR_WALKS:
-        return frozenset(_PAIR_WALKS[spec.kind](
-            g, *_random_ordered_pair(g.n, rng), rng))
+        return frozenset(_walk_pair(g, _PAIR_WALKS[spec.kind],
+                                    *_random_ordered_pair(g.n, rng), rng))
     if spec.kind == "kpath":
         return _walk_kpath(g, spec.kappa, rng)
     return frozenset(expand(next(_rr_chunks(g, spec.p, 1, rng)))[1].tolist())
@@ -181,29 +181,29 @@ def _linked(g, s, t):
     return bool(g.adj[s]) and bool(g.radj[t])
 
 
-def _pair_dag(g, s, t):
-    """The forward BFS from s for the pair (s, t): None if t is unreachable
-    from s or adjacent to it; otherwise (dist, sigma), which index by node
-    and are exact for every node v with dist[v] <= dist[t].
-    """
+def _walk_pair(g, walk, s, t, rng):
+    """The draw of the pair (s, t): empty if t is unreachable from s or
+    adjacent to it; otherwise walk(g, dist, sigma, t, rng) over bfs_dag's
+    row from s, whose dist and sigma are exact for every node v with
+    dist[v] <= dist[t].  bfs_dag runs once per pair that passes _linked."""
     if _linked(g, s, t):
-        dag = bfs_dag(g, s, stop_at=t)
-        if dag[0][t] > 1:
-            return dag
-    return None
+        dist, sigma = bfs_dag(g, s, stop_at=t)
+        if dist[t] > 1:
+            return walk(g, dist, sigma, t, rng)
+    return []
 
 
 def _pair_chunks(g, walk, q, rng):
     """q pair draws as Split chunks of at most _CHUNK draws.  A chunk draws
     all its pairs from rng first; it then fills the bfs_dag cache for
     their sources in numpy blocks (fill_dag_cache, a no-op on graphs too
-    large to cache), and last walks each pair, in draw order, with
-    walk(g, s, t, rng)."""
+    large to cache), and last walks each pair, in draw order, through
+    _walk_pair."""
     for start in range(0, q, _CHUNK):
         pairs = [_random_ordered_pair(g.n, rng)
                  for _ in range(min(_CHUNK, q - start))]
         fill_dag_cache(g, [s for s, t in pairs if _linked(g, s, t)])
-        yield split(*pack([walk(g, s, t, rng) for s, t in pairs]))
+        yield split(*pack([_walk_pair(g, walk, *pair, rng) for pair in pairs]))
 
 
 def _preds(g, dist, v):
@@ -213,14 +213,10 @@ def _preds(g, dist, v):
     return [u for u in g.radj[v] if dist[u] == dvm1]
 
 
-def _walk_bwc(g, s, t, rng):
-    """The internal nodes of a uniformly random shortest path from s to t,
-    as a list from t's side; empty if t is unreachable from s or adjacent
-    to it."""
-    dag = _pair_dag(g, s, t)
-    if dag is None:
-        return []
-    dist, sigma = dag
+def _walk_bwc(g, dist, sigma, t, rng):
+    """The internal nodes of a uniformly random shortest path to t in the
+    shortest-path DAG of the row (dist, sigma), as a list from t's side;
+    dist[t] must be at least 2."""
     # Walk backward from t, picking each predecessor u with probability
     # sigma(u)/sigma(v); exact uniformity over all shortest paths.
     # The predecessors are scanned in id order, as _preds lists them.
@@ -240,23 +236,18 @@ def _walk_bwc(g, s, t, rng):
     return internal
 
 
-def _walk_coverage(g, s, t, rng):
-    """All internal nodes lying on any shortest path from s to t (the
-    ancestors of t in the shortest-path DAG of s, less s), as a sorted list;
-    empty if t is unreachable from s or adjacent to it.  rng is not
-    read."""
-    dag = _pair_dag(g, s, t)
-    if dag is None:
-        return []
-    dist = dag[0]
-    seen = {t}
+def _walk_coverage(g, dist, sigma, t, rng):
+    """All internal nodes lying on any shortest path to t in the
+    shortest-path DAG of the row dist (the ancestors of t, less the
+    source), as a sorted list; dist[t] must be at least 2.  Neither sigma
+    nor rng is read."""
+    seen = set()
     stack = [t]
     while stack:
         for u in _preds(g, dist, stack.pop()):
             if u not in seen and dist[u] > 0:
                 seen.add(u)
                 stack.append(u)
-    seen.discard(t)
     return sorted(seen)
 
 

@@ -735,3 +735,118 @@ class TestSampleDump:
                     "-o", str(out)]) == 2
         assert "n >= 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("count", [10 ** 7 + 1, 2 ** 63])
+    def test_count_past_the_guard_is_refused_before_any_draw(
+            self, count, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the --count guard")
+        monkeypatch.setattr(samplers, "split_chunks", no_draw)
+        out = tmp_path / "d.txt"
+        assert run(["sample-dump", "--gen", "ran:50", "--sampler", "rr",
+                    "--count", str(count), "-o", str(out)]) == 3
+        assert f"--count={count} exceeds the guard 10000000" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_lowerbound_past_the_float_range_is_refused_unbuilt(
+        tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused graph was built")
+    monkeypatch.setattr(generators, "Graph", never)
+    out = tmp_path / "lb.txt"
+    assert run(["generate", "lowerbound:1" + "0" * 400 + ",0.5",
+                "-o", str(out)]) == 3
+    assert "past the generator guard 10000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class Drew(BaseException):
+    """Raised in place of a draw: the run passed every check.  Not an
+    Exception, so that main() lets it through."""
+
+
+def bounded(size):
+    """A stub draw that asserts its size is within the pool guard."""
+    def draw(*args, **kwargs):
+        assert size(*args, **kwargs) <= maximize._POOL_GUARD, \
+            "a draw past the pool guard got through"
+        raise Drew
+    return draw
+
+
+# One number of each template is replaced by each of NUMBERS; T is the
+# temporal edge list.  Together they hold every numeric flag of every
+# subcommand and every number of every generator spec.
+NUMBER_TEMPLATES = [
+    "generate ran:{}", "generate hypercube:{}", "generate kron:{}",
+    "generate kron:4,{},0.5,0.5,0.2", "generate kron:4,0.9,{},0.5,0.2",
+    "generate kron:4,0.9,0.5,{},0.2", "generate kron:4,0.9,0.5,0.5,{}",
+    "generate lowerbound:{},0.5", "generate lowerbound:400,{}",
+    "generate ran:20 --seed {}",
+    "maximize --gen ran:{} --k 2", "maximize --gen ran:20 --k {}",
+    "maximize --gen ran:20 --k 2 --kappa {}",
+    "maximize --gen ran:20 --k 2 --p {}",
+    "maximize --gen ran:20 --k 2 --eps {}",
+    "maximize --gen ran:20 --k 2 --budget theory --eps {}",
+    "maximize --gen ran:20 --k 2 --budget theory --ell {}",
+    "maximize --gen ran:20 --k 2 --budget theory --maxk-scaled {}",
+    "maximize --gen ran:20 --k 2 --budget equal-yalg --eps {}",
+    "maximize --gen ran:20 --k 2 --budget explicit:{}",
+    "maximize --gen ran:20 --k 2 --seed {}",
+    "exact --gen ran:{} --mode brandes",
+    "exact --gen ran:12 --mode brandes --seed {}",
+    "exact --gen ran:12 --mode exgreedy --k {}",
+    "exact --gen ran:12 --mode brute --k {}",
+    "attack --gen ran:20 --cap {}",
+    "attack --gen ran:20 --sampler triangle --cap {}",
+    "attack --gen ran:20 --eps {}", "attack --gen ran:20 --kappa {}",
+    "attack --gen ran:20 --p {}", "attack --gen ran:20 --seed {}",
+    "influence --gen ran:20 --k {}",
+    "influence --gen ran:20 --k 2 --num-rr {}",
+    "influence --gen ran:20 --k 2 --runs {}",
+    "influence --gen ran:20 --k 2 --eps {}",
+    "influence --gen ran:20 --k 2 --kappa {}",
+    "influence --gen ran:20 --k 2 --p {}",
+    "influence --gen ran:20 --k 2 --methods tri --seed {}",
+    "evolve --input T --snapshots {}", "evolve --input T --num-snapshots {}",
+    "evolve --input T --k-values {}", "evolve --input T --eps {}",
+    "evolve --input T --kappa {}", "evolve --input T --p {}",
+    "evolve --input T --seed {}",
+    "sample-dump --gen ran:20 --count {}",
+    "sample-dump --gen ran:20 --count 5 --kappa {}",
+    "sample-dump --gen ran:20 --count 5 --p {}",
+    "sample-dump --gen ran:20 --count 5 --seed {}",
+]
+NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", str(2 ** 63),
+           "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("number", NUMBERS,
+                         ids=NUMBERS[:-2] + ["2**63", "10**400"])
+@pytest.mark.parametrize("template", NUMBER_TEMPLATES)
+def test_every_number_ends_in_an_exit_code(template, number, tmp_path,
+                                           monkeypatch):
+    # Each run either reaches a draw of at most the pool guard (stubbed,
+    # so nothing is drawn) or ends in exit 0, 2, 3 or 4 without a
+    # traceback; a refusal leaves no -o file.
+    monkeypatch.setattr(samplers, "split_chunks",
+                        bounded(lambda g, spec, q, rng: q))
+    monkeypatch.setattr(samplers, "sample", bounded(lambda *args: 0))
+    monkeypatch.setattr(exact, "triangle_greedy", bounded(lambda *args: 0))
+    monkeypatch.setattr(experiments, "ic_spread",
+                        bounded(lambda g, seeds, p, runs, rng: runs))
+    temporal = write_graph(tmp_path, "0 1 5\n1 2 6\n2 0 7\n", "t.txt")
+    argv = [temporal if a == "T" else a
+            for a in template.format(number).split()]
+    out = tmp_path / "out.txt"
+    try:
+        code = run(argv + ["-o", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    except Drew:
+        return
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert not out.exists()

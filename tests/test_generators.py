@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,45 @@ class TestKronecker:
                     assert g.meta["method"] == "exact"
                     assert sorted(g.edges()) == list(zip(us.tolist(),
                                                          vs.tolist()))
+
+    @pytest.mark.parametrize("seed", [CORE_PERIPHERY,
+                                      [[0.99, 0.45], [0.3, 0.25]],
+                                      [[0, 0], [0, 0]]])
+    @pytest.mark.parametrize("block", [1000, 4096])
+    def test_ball_blocks_match_one_draw(self, seed, block, monkeypatch):
+        # One (count, i) draw of cells, as the balls were dropped before
+        # they came in blocks: blocks of any size give the same edges.
+        monkeypatch.setattr(generators, "_KRON_BALL_BLOCK", block)
+        p = np.asarray(seed, dtype=np.float64)
+        mass = p.sum()
+        for i in (13, 14, 16):
+            for s in range(3):
+                nrng = np.random.default_rng(seeded(s).getrandbits(64))
+                count = int(nrng.poisson(mass ** i / 2.0))
+                cells = nrng.choice(4, size=(count, i),
+                                    p=(p / mass).ravel() if count else None)
+                weights = 1 << np.arange(i - 1, -1, -1)
+                us = ((cells // 2) * weights).sum(axis=1).tolist()
+                vs = ((cells % 2) * weights).sum(axis=1).tolist()
+                g = gen_kronecker(seed, i, seeded(s))
+                assert g.meta["method"] == "ball"
+                assert sorted(g.edges()) == sorted(
+                    {(min(u, v), max(u, v)) for u, v in zip(us, vs)
+                     if u != v})
+
+    def test_ball_cells_are_held_one_block_at_a_time(self, monkeypatch):
+        # kron:18 drops about 315k balls; held at once, their cell arrays
+        # and weighted products peaked near 190 MB.
+        monkeypatch.setattr(generators, "Graph",
+                            lambda n, edges, **kwargs: edges)
+        tracemalloc.start()
+        try:
+            edges = gen_kronecker(CORE_PERIPHERY, 18, seeded(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(edges) > 300_000
+        assert peak < 48e6
 
     def test_seed_checked_on_both_paths(self):
         for i in (4, 13):

@@ -59,6 +59,17 @@ class TestSampleBudget:
         with pytest.raises(ValueError):
             sample_budget(100, 5, 0.1, maxk_scaled=1.5)
 
+    def test_numbers_past_the_float_range_are_refused(self):
+        # k and ell are Python ints; each is checked before it would
+        # overflow the float of the budget formula.
+        for budget in (lambda: sample_budget(20, 10 ** 400, 0.1),
+                       lambda: experiment_budget(20, 10 ** 400, 0.1)):
+            with pytest.raises(ValueError, match=r"^k=10+ exceeds node "
+                               r"count 20$"):
+                budget()
+        with pytest.raises(SizeError, match="past the float range"):
+            sample_budget(20, 2, 0.1, ell=10 ** 400)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_presets_refuse_fewer_than_two_nodes(self, n):
         for budget in (lambda: sample_budget(n, 1, 0.1),
@@ -322,6 +333,17 @@ class TestGreedyCover:
         res = greedy_cover(pool_of([{1, 2}] * 10, n), n)
         assert res.selected == [1, 0] + list(range(2, n))
         assert res.marginal_degrees == [10] + [0] * (n - 1)
+
+    def test_zero_rescore_leaves_the_heap_before_the_tail(self):
+        # Node 5 re-scores to zero after 4 is picked, while 0, 1 and 2
+        # have no hyper-edge at all; node 3 still covers one.  The tail of
+        # unused ids comes only after the heap is drained.
+        edges = [{4, 5}, {4, 5}, {3}]
+        res = greedy_cover(pool_of(edges, 6), 6)
+        assert res.selected == [4, 3, 0, 1, 2, 5]
+        assert res.marginal_degrees == [2, 1, 0, 0, 0, 0]
+        assert (res.selected, res.marginal_degrees,
+                res.estimated_centrality) == naive_cover(edges, 6, 6)
 
     def test_marginals_nonincreasing(self):
         rng = seeded(6)
