@@ -21,7 +21,7 @@ import zlib
 from itertools import chain
 
 from . import exact, experiments, generators, maximize, samplers
-from .errors import ParseError, SizeError
+from .errors import SizeError
 from .graph import load_edge_list, load_temporal_edge_list, write_edge_list
 
 DEFAULT_SEED = 20100501
@@ -225,13 +225,12 @@ def cmd_influence(args):
     maximize.check_k(args.k, g.n)
     samplers.check_params(args.kappa, args.p)
     maximize.check_eps(args.eps)
-    if args.runs < 1:
-        raise UsageError("--runs must be positive")
-    experiments.check_runs(args.runs)
+    maximize.check_count(args.runs, "--runs")
     if "im" in methods:
-        maximize.check_pool_size(args.num_rr)
+        maximize.check_count(args.num_rr, "--num-rr")
     if not _ORDERING_METHODS.keys().isdisjoint(methods):
-        maximize.check_pool_size(experiments.ordering_budget(g.n, args.eps))
+        # Refuses an oversized ordering pool before any method runs.
+        experiments.ordering_budget(g.n, args.eps)
     seed_sets = {}
     for method in methods:
         mrng = random.Random(args.seed ^ zlib.crc32(method.encode()))
@@ -276,11 +275,7 @@ def cmd_evolve(args):
 
 
 def cmd_sample_dump(args):
-    if args.count < 1:
-        raise UsageError("--count must be positive")
-    if args.count > maximize._POOL_GUARD:
-        raise SizeError(f"--count={args.count} exceeds the guard "
-                        f"{maximize._POOL_GUARD}")
+    maximize.check_count(args.count, "--count")
     g = _load_graph(args)
     spec = _sampler_spec(args)
     chunks = map(samplers.expand,
@@ -392,7 +387,7 @@ def main(argv=None):
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

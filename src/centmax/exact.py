@@ -23,6 +23,7 @@ import numpy as np
 from .errors import SizeError
 from .graph import all_triangles, bfs_levels, block_sources
 from .maximize import HyperEdgePool, check_k, greedy_cover
+from .samplers import check_kappa
 
 _BRUTE_FORCE_GUARD = 10 ** 7
 
@@ -302,8 +303,7 @@ def brute_force_max(g, k):
 def exact_kpath(g, nodes, kappa):
     """Exact expected number of start nodes whose random simple walk of
     length kappa touches the set.  Exponential in kappa; small graphs only."""
-    if kappa < 1:
-        raise ValueError("kappa must be a positive integer")
+    check_kappa(kappa)
     hit = _node_set(g, nodes)
     if g.n > 12:
         raise SizeError("exact walk enumeration is limited to n <= 12")

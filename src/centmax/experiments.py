@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, maximize, samplers
-from .errors import SizeError
 from .graph import graph_from_labeled_edges
 
 DEFAULT_ORDERING_EPS = 0.25
@@ -91,16 +90,6 @@ def attack_curve(g, ordering, cap):
     return AttackCurve(list(range(cap + 1)), sizes[::-1])
 
 
-def check_runs(runs):
-    """Refuse a cascade count below 1 (ValueError) or past the pool guard
-    maximize._POOL_GUARD (SizeError)."""
-    if runs < 1:
-        raise ValueError("runs must be positive")
-    if runs > maximize._POOL_GUARD:
-        raise SizeError(f"runs={runs} exceeds the guard "
-                        f"{maximize._POOL_GUARD}")
-
-
 def ic_spread(g, seeds, p, runs=10000, rng=None):
     """Monte Carlo mean cascade size from a seed set: each directed edge is
     live independently with probability p, re-flipped per cascade.  The
@@ -108,7 +97,7 @@ def ic_spread(g, seeds, p, runs=10000, rng=None):
     the reached cells as RR sets are (samplers._batch), from one numpy
     generator that rng seeds; each level draws only its live arcs, and none
     at p = 0 or 1."""
-    check_runs(runs)
+    maximize.check_count(runs, "runs")
     samplers.check_p(p)
     seeds = np.array(sorted(exact._node_set(g, seeds)), dtype=np.int64)
     if seeds.size == 0:

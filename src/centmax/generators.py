@@ -55,19 +55,6 @@ def kronecker_probability_matrix(seed, i):
     return out
 
 
-def expected_kronecker_edges(seed, i):
-    """(mean, std) of the simple undirected edge count for a 2^i-node
-    stochastic Kronecker graph."""
-    p = np.asarray(seed, dtype=np.float64)
-    total = p.sum() ** i
-    diag = (p[0, 0] + p[1, 1]) ** i
-    total_sq = (p ** 2).sum() ** i
-    diag_sq = (p[0, 0] ** 2 + p[1, 1] ** 2) ** i
-    mean = (total - diag) / 2.0
-    var = ((total - total_sq) - (diag - diag_sq)) / 2.0
-    return mean, math.sqrt(max(var, 0.0))
-
-
 def gen_kronecker(seed, i, rng):
     """Undirected simple stochastic Kronecker graph on 2^i nodes.
 

@@ -138,7 +138,8 @@ def sample_budget(n, k, eps, ell=1, maxk_scaled=1.0):
     maxk_scaled is the (estimated) optimum divided by alpha; the default 1
     is the optimistic dense-optimum assumption.
     """
-    check_budget_k(n, k)
+    check_budget_n(n)
+    check_k(k, n)
     check_theory_params(ell, maxk_scaled)
     if ell > sys.float_info.max:
         raise SizeError(f"ell={ell} is past the float range of the budget")
@@ -147,7 +148,8 @@ def sample_budget(n, k, eps, ell=1, maxk_scaled=1.0):
 
 def experiment_budget(n, k, eps):
     """The empirical preset: ceil(k ln(n) / eps^2)."""
-    check_budget_k(n, k)
+    check_budget_n(n)
+    check_k(k, n)
     return pool_budget(k * math.log(n), eps)
 
 
@@ -161,16 +163,6 @@ def check_budget_n(n):
     """Refuse a graph of fewer than two nodes, whose ln(n) is not positive."""
     if n < 2:
         raise ValueError(f"a pool budget needs n >= 2 nodes, got n={n}")
-
-
-def check_budget_k(n, k):
-    """check_budget_n, then refuse a pick count outside 1..n (ValueError)
-    before it enters a float."""
-    check_budget_n(n)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k > n:
-        raise ValueError(f"k={k} exceeds node count {n}")
 
 
 def check_theory_params(ell, maxk_scaled):
@@ -201,13 +193,13 @@ def pool_budget(count, eps, scale=1.0):
     return math.ceil(q)
 
 
-def check_pool_size(q):
-    """Refuse a pool size below 1 (ValueError) or above the guard
-    (SizeError) before anything is drawn."""
-    if q < 1:
-        raise ValueError("pool size must be positive")
-    if q > _POOL_GUARD:
-        raise SizeError(f"pool size {q} exceeds the guard {_POOL_GUARD}")
+def check_count(count, name):
+    """Refuse a count of draws, the one named `name`, below 1 (ValueError)
+    or past _POOL_GUARD (SizeError), before anything is drawn."""
+    if count < 1:
+        raise ValueError(f"{name} must be positive")
+    if count > _POOL_GUARD:
+        raise SizeError(f"{name}={count} exceeds the guard {_POOL_GUARD}")
 
 
 def check_k(k, n):
@@ -223,7 +215,7 @@ def build_pool(g, spec, q, rng):
     one-node and empty ones are counted chunk by chunk, as they are drawn;
     SizeError once the others hold more than _NODE_GUARD nodes, before the
     next chunk is drawn."""
-    check_pool_size(q)
+    check_count(q, "pool size")
     singles = np.zeros(g.n, dtype=np.int64)
     empties = stored = 0
     multi = []
@@ -247,21 +239,20 @@ def greedy_cover(pool, k):
     covered edges.  Ties break to the smaller id; once degrees hit zero the
     remaining picks are the smallest unused ids."""
     check_k(k, pool.n)
-    ptr, node_edges = pool.node_ptr.tolist(), pool.node_edges
+    ptr, node_edges, singles = pool.node_ptr, pool.node_edges, pool.singles
     alive = np.ones(pool.edge_ptr.size - 1, dtype=bool)
-    singles = pool.singles.tolist()
     selected, marginals = [], []
     # (-degree, node), one entry per unpicked node of positive degree;
     # stale entries are re-scored on pop, and dropped once at zero.  A
     # node's degree is its one-node hyper-edges plus its alive CSR ones.
-    degree = np.diff(pool.node_ptr) + pool.singles
+    degree = np.diff(ptr) + singles
     nodes = np.flatnonzero(degree)
     heap = list(zip((-degree[nodes]).tolist(), nodes.tolist()))
     heapq.heapify(heap)
     while heap and len(selected) < k:
         negd, v = heapq.heappop(heap)
         hit = node_edges[ptr[v]:ptr[v + 1]]
-        gained = singles[v] + int(np.count_nonzero(alive[hit]))
+        gained = int(singles[v] + np.count_nonzero(alive[hit]))
         if gained != -negd:
             if gained:
                 heapq.heappush(heap, (-gained, v))

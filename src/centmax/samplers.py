@@ -52,9 +52,14 @@ class SamplerSpec:
 def check_params(kappa, p):
     """Refuse a kappa below 1 or an edge probability p outside [0, 1]
     (ValueError)."""
+    check_kappa(kappa)
+    check_p(p)
+
+
+def check_kappa(kappa):
+    """Refuse a kappa that is not at least 1, NaN too (ValueError)."""
     if not kappa >= 1:
         raise ValueError(f"kappa must be a positive integer, got {kappa}")
-    check_p(p)
 
 
 def check_p(p):
@@ -65,7 +70,7 @@ def check_p(p):
 
 def alpha(spec, g):
     """Normalizer: n(n-1) for pair-based samplers, n for the others."""
-    if spec.kind in ("betweenness", "coverage"):
+    if spec.kind in _PAIR_WALKS:
         return g.n * (g.n - 1)
     return g.n
 

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -218,6 +219,19 @@ def reference_pair_many(g, kind, q, rng, chunk):
     ptr = np.zeros(len(edges) + 1, dtype=np.int64)
     np.cumsum([len(h) for h in edges], out=ptr[1:])
     return ptr, np.array([v for h in edges for v in h], dtype=np.int64)
+
+
+def expected_kronecker_edges(seed, i):
+    """(mean, std) of the simple undirected edge count for a 2^i-node
+    stochastic Kronecker graph."""
+    p = np.asarray(seed, dtype=np.float64)
+    total = p.sum() ** i
+    diag = (p[0, 0] + p[1, 1]) ** i
+    total_sq = (p ** 2).sum() ** i
+    diag_sq = (p[0, 0] ** 2 + p[1, 1] ** 2) ** i
+    mean = (total - diag) / 2.0
+    var = ((total - total_sq) - (diag - diag_sq)) / 2.0
+    return mean, math.sqrt(max(var, 0.0))
 
 
 def largest_component_size(g, removed=()):

@@ -115,7 +115,7 @@ class TestMaximize:
     def test_zero_k_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, P4)
         assert run(["maximize", "--input", inp, "--k", "0"]) == 2
-        assert "k must be a positive integer" in capsys.readouterr().err
+        assert "k must be positive, got k=0" in capsys.readouterr().err
 
     def test_input_with_gen_is_usage_error(self, tmp_path, capsys):
         inp = write_graph(tmp_path, P3)
@@ -774,6 +774,36 @@ def bounded(size):
             "a draw past the pool guard got through"
         raise Drew
     return draw
+
+
+# Each count flag, the draw stubbed in its place, and the count that draw
+# is asked for.
+COUNT_FLAGS = [
+    ("sample-dump --gen ran:20 --count {}", "--count", samplers,
+     "split_chunks", lambda g, spec, q, rng: q),
+    ("influence --gen ran:20 --k 2 --methods tri --runs {}", "--runs",
+     experiments, "ic_spread", lambda g, seeds, p, runs, rng: runs),
+    ("influence --gen ran:20 --k 2 --methods im --num-rr {}", "--num-rr",
+     samplers, "split_chunks", lambda g, spec, q, rng: q),
+]
+
+
+@pytest.mark.parametrize("template, flag, module, name, size", COUNT_FLAGS,
+                         ids=[f for _, f, *_ in COUNT_FLAGS])
+def test_every_count_flag_accepts_the_guard_and_refuses_one_more(
+        template, flag, module, name, size, tmp_path, monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        raise Drew(size(*args, **kwargs))
+    monkeypatch.setattr(module, name, draw)
+    guard = maximize._POOL_GUARD
+    with pytest.raises(Drew) as drew:
+        run(template.format(guard).split() + ["-o", str(tmp_path / "a.txt")])
+    assert drew.value.args == (guard,)
+    out = tmp_path / "r.txt"
+    assert run(template.format(guard + 1).split() + ["-o", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {flag}={guard + 1} exceeds the guard {guard}\n"
+    assert not out.exists()
 
 
 # One number of each template is replaced by each of NUMBERS; T is the

@@ -702,6 +702,12 @@ class TestKPath:
         with pytest.raises(ValueError, match="kappa"):
             exact_kpath(path_graph(4), {1}, 0)
 
+    @pytest.mark.parametrize("kappa", [0, math.nan])
+    def test_kappa_takes_the_samplers_rule(self, kappa):
+        with pytest.raises(ValueError, match="^kappa must be a positive "
+                                             f"integer, got {kappa}$"):
+            exact_kpath(path_graph(4), {3}, kappa)
+
     def test_all_nodes(self):
         g = complete_graph(4)
         assert exact_kpath(g, set(range(4)), 2) == pytest.approx(4.0)

@@ -7,12 +7,11 @@ import pytest
 from centmax import generators
 from centmax.errors import SizeError
 from centmax.exact import brandes
-from centmax.generators import (RanState, expected_kronecker_edges,
-                                gen_hypercube, gen_kronecker,
+from centmax.generators import (RanState, gen_hypercube, gen_kronecker,
                                 gen_lower_bound, gen_ran,
                                 kronecker_probability_matrix)
 from centmax.graph import bfs_dag
-from conftest import largest_component_size, seeded
+from conftest import expected_kronecker_edges, largest_component_size, seeded
 
 CORE_PERIPHERY = [[0.9, 0.5], [0.5, 0.2]]
 

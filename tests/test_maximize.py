@@ -106,6 +106,27 @@ class TestBuildPool:
             build_pool(path_graph(5), SamplerSpec("betweenness"), 10 ** 7 + 1,
                        seeded(0))
 
+    @pytest.mark.parametrize("call, stubbed, name", [
+        (lambda q: build_pool(path_graph(5), SamplerSpec("betweenness"), q,
+                              seeded(0)), "split_chunks", "pool size"),
+        (lambda q: experiments.ic_spread(path_graph(5), [0], 0.5, q,
+                                         seeded(0)), "_live_keys", "runs")],
+        ids=["build_pool", "ic_spread"])
+    def test_the_count_rule_accepts_the_guard_and_refuses_one_more(
+            self, call, stubbed, name, monkeypatch):
+        class Drew(Exception):
+            """Raised in place of a draw: the count passed the rule."""
+
+        def draw(*args, **kwargs):
+            raise Drew
+        monkeypatch.setattr(samplers, stubbed, draw)
+        guard = maximize._POOL_GUARD
+        with pytest.raises(Drew):
+            call(guard)
+        with pytest.raises(SizeError, match=f"^{name}={guard + 1} exceeds "
+                                            f"the guard {guard}$"):
+            call(guard + 1)
+
     @pytest.mark.parametrize("share", [0.5, 1.0])
     def test_stored_nodes_over_the_guard_is_size_error(self, share,
                                                        monkeypatch):
@@ -344,6 +365,24 @@ class TestGreedyCover:
         assert res.marginal_degrees == [2, 1, 0, 0, 0, 0]
         assert (res.selected, res.marginal_degrees,
                 res.estimated_centrality) == naive_cover(edges, 6, 6)
+
+    def test_peak_memory_at_small_k_is_a_few_arrays_of_n(self):
+        # A 10^6-node pool of 14 000 hyper-edges on 6 * 10^4 nodes: the
+        # greedy reads a node's counts only when it pops the node, so ten
+        # picks hold no per-node Python list of all n nodes.
+        n = 10 ** 6
+        touched = np.random.default_rng(3).choice(n, 60000, replace=False)
+        pool = HyperEdgePool.from_edges(
+            (np.arange(0, 70001, 5), touched[np.arange(70000) % 60000]), n,
+            1.0)
+        tracemalloc.start()
+        try:
+            result = greedy_cover(pool, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.marginal_degrees == [2] * 10
+        assert peak <= 24 * n
 
     def test_marginals_nonincreasing(self):
         rng = seeded(6)
