@@ -50,15 +50,16 @@ class SamplerSpec:
 
 
 def check_params(kappa, p):
-    """Refuse a kappa below 1 or an edge probability p outside [0, 1]
-    (ValueError)."""
+    """Refuse a kappa that is not a positive integer or an edge
+    probability p outside [0, 1] (ValueError)."""
     check_kappa(kappa)
     check_p(p)
 
 
 def check_kappa(kappa):
-    """Refuse a kappa that is not at least 1, NaN too (ValueError)."""
-    if not kappa >= 1:
+    """Refuse a kappa that is not an integer of at least 1, NaN and 2.0 too
+    (ValueError)."""
+    if not (isinstance(kappa, (int, np.integer)) and kappa >= 1):
         raise ValueError(f"kappa must be a positive integer, got {kappa}")
 
 
@@ -76,14 +77,9 @@ def alpha(spec, g):
 
 
 def sample(g, spec, rng):
-    """Draw one hyper-edge according to spec, as a frozenset: the pair
-    walk of a random ordered pair, a kpath walk, or an RR batch of one."""
-    if spec.kind in _PAIR_WALKS:
-        return frozenset(_walk_pair(g, _PAIR_WALKS[spec.kind],
-                                    *_random_ordered_pair(g.n, rng), rng))
-    if spec.kind == "kpath":
-        return _walk_kpath(g, spec.kappa, rng)
-    return frozenset(expand(next(_rr_chunks(g, spec.p, 1, rng)))[1].tolist())
+    """Draw one hyper-edge according to spec, as a frozenset: sample_many's
+    batch of one."""
+    return frozenset(sample_many(g, spec, 1, rng)[1].tolist())
 
 
 def split_chunks(g, spec, q, rng):
@@ -186,29 +182,27 @@ def _linked(g, s, t):
     return bool(g.adj[s]) and bool(g.radj[t])
 
 
-def _walk_pair(g, walk, s, t, rng):
-    """The draw of the pair (s, t): empty if t is unreachable from s or
-    adjacent to it; otherwise walk(g, dist, sigma, t, rng) over bfs_dag's
-    row from s, whose dist and sigma are exact for every node v with
-    dist[v] <= dist[t].  bfs_dag runs once per pair that passes _linked."""
-    if _linked(g, s, t):
-        dist, sigma = bfs_dag(g, s, stop_at=t)
-        if dist[t] > 1:
-            return walk(g, dist, sigma, t, rng)
-    return []
-
-
 def _pair_chunks(g, walk, q, rng):
     """q pair draws as Split chunks of at most _CHUNK draws.  A chunk draws
-    all its pairs from rng first; it then fills the bfs_dag cache for
-    their sources in numpy blocks (fill_dag_cache, a no-op on graphs too
-    large to cache), and last walks each pair, in draw order, through
-    _walk_pair."""
+    all its pairs from rng first; it then fills the bfs_dag cache for the
+    sources of its linked pairs in numpy blocks (fill_dag_cache, a no-op
+    on graphs too large to cache), and last walks each pair, in draw
+    order.  A pair's draw is empty if t is unreachable from s or adjacent
+    to it; otherwise it is walk(g, dist, sigma, t, rng) over bfs_dag's row
+    from s, whose dist and sigma are exact for every node v with
+    dist[v] <= dist[t].  bfs_dag runs once per linked pair."""
     for start in range(0, q, _CHUNK):
         pairs = [_random_ordered_pair(g.n, rng)
                  for _ in range(min(_CHUNK, q - start))]
-        fill_dag_cache(g, [s for s, t in pairs if _linked(g, s, t)])
-        yield split(*pack([_walk_pair(g, walk, *pair, rng) for pair in pairs]))
+        linked = [i for i, (s, t) in enumerate(pairs) if _linked(g, s, t)]
+        fill_dag_cache(g, [pairs[i][0] for i in linked])
+        edges = [()] * len(pairs)
+        for i in linked:
+            s, t = pairs[i]
+            dist, sigma = bfs_dag(g, s, stop_at=t)
+            if dist[t] > 1:
+                edges[i] = walk(g, dist, sigma, t, rng)
+        yield split(*pack(edges))
 
 
 def _preds(g, dist, v):

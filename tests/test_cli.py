@@ -175,7 +175,7 @@ class TestMaximize:
         assert not out.exists()
 
     def test_oversized_pool_is_size_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(samplers, "sample", no_sampling)
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
         # The theory budget here is about 1.4e10 samples.
         assert run(["maximize", "--gen", "ran:50", "--k", "2",
                     "--budget", "theory", "--maxk-scaled", "1e-6"]) == 3
@@ -429,7 +429,7 @@ class TestInfluence:
         assert "eps must be positive" in capsys.readouterr().err
 
     def test_oversized_rr_pool_is_size_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(samplers, "sample", no_sampling)
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
         inp = write_graph(tmp_path, P4)
         assert run(["influence", "--input", inp, "--k", "1",
                     "--num-rr", "20000000"]) == 3
@@ -578,7 +578,7 @@ def test_sampler_flags_are_checked_under_every_sampler_and_method(
     # where the chosen sampler or method does not read them.
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before the flag checks")
-    for module, name in ((samplers, "split_chunks"), (samplers, "sample"),
+    for module, name in ((samplers, "split_chunks"),
                          (exact, "triangle_greedy"),
                          (experiments, "ic_spread")):
         monkeypatch.setattr(module, name, no_draw)
@@ -863,7 +863,6 @@ def test_every_number_ends_in_an_exit_code(template, number, tmp_path,
     # traceback; a refusal leaves no -o file.
     monkeypatch.setattr(samplers, "split_chunks",
                         bounded(lambda g, spec, q, rng: q))
-    monkeypatch.setattr(samplers, "sample", bounded(lambda *args: 0))
     monkeypatch.setattr(exact, "triangle_greedy", bounded(lambda *args: 0))
     monkeypatch.setattr(experiments, "ic_spread",
                         bounded(lambda g, seeds, p, runs, rng: runs))

@@ -702,8 +702,10 @@ class TestKPath:
         with pytest.raises(ValueError, match="kappa"):
             exact_kpath(path_graph(4), {1}, 0)
 
-    @pytest.mark.parametrize("kappa", [0, math.nan])
+    @pytest.mark.parametrize("kappa", [0, math.nan, 2.5, 2.0])
     def test_kappa_takes_the_samplers_rule(self, kappa):
+        # A fractional kappa never counts down to 0 steps, so the walks
+        # would run until they are stuck.
         with pytest.raises(ValueError, match="^kappa must be a positive "
                                              f"integer, got {kappa}$"):
             exact_kpath(path_graph(4), {3}, kappa)

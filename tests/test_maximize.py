@@ -101,7 +101,7 @@ class TestBuildPool:
     def test_oversized_pool_is_size_error(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the pool-size guard")
-        monkeypatch.setattr(samplers, "sample", no_sampling)
+        monkeypatch.setattr(samplers, "split_chunks", no_sampling)
         with pytest.raises(SizeError):
             build_pool(path_graph(5), SamplerSpec("betweenness"), 10 ** 7 + 1,
                        seeded(0))

@@ -48,6 +48,11 @@ class TestSpecAndAlpha:
             SamplerSpec("coverage", p=1.5)
         with pytest.raises(ValueError, match=r"p must be in \[0,1\]"):
             SamplerSpec("kpath", p=float("nan"))
+        # A kappa of 2.5 would fail only at the first draw, in range().
+        for kappa in (2.5, 2.0):
+            with pytest.raises(ValueError, match="kappa must be a positive "
+                                                 f"integer, got {kappa}"):
+                SamplerSpec("kpath", kappa=kappa)
 
 
 class TestBwcSampler:
@@ -61,11 +66,8 @@ class TestBwcSampler:
     def test_cycle_antipodal_split(self):
         g = cycle_graph(4)
         rng = seeded(2)
-        counts = Counter()
-        for _ in range(20000):
-            h = sample(g, BWC, rng)
-            if h:
-                counts[min(h)] += 1
+        counts = Counter(min(h) for h in
+                         edge_sets(sample_many(g, BWC, 20000, rng)) if h)
         # Antipodal pairs pick each of the two internal nodes equally.
         total = sum(counts.values())
         for v, c in counts.items():
@@ -125,11 +127,8 @@ class TestBwcSampler:
                     continue
                 paths = enumerate_paths(preds, s, t)
                 assert len(paths) == sigma[t]
-        counts = Counter()
         draws = 60000
-        for _ in range(draws):
-            h = sample(g, BWC, rng)
-            counts[h] += 1
+        counts = Counter(edge_sets(sample_many(g, BWC, draws, rng)))
         # Pair (1,2) has two paths: via 0 and via 3, each prob 1/2 given
         # the pair; pair prob 2/(6*5).
         two_path = counts[frozenset({0})] + counts[frozenset({3})]
@@ -910,8 +909,8 @@ class TestUnbiasedness:
         n = g.n
         draws = 50000
         r = seeded(78)
-        pool_b = [sample(g, BWC, r) for _ in range(draws)]
-        pool_c = [sample(g, COV, r) for _ in range(draws)]
+        pool_b = edge_sets(sample_many(g, BWC, draws, r))
+        pool_c = edge_sets(sample_many(g, COV, draws, r))
         for _ in range(5):
             S = set(rng.sample(range(n), 2))
             for pool, oracle in ((pool_b, exact.set_bwc),
@@ -945,7 +944,7 @@ class TestUnbiasedness:
         draws = 50000
         r = seeded(80)
         spec = SamplerSpec("kpath", kappa=3)
-        pool = [sample(g, spec, r) for _ in range(draws)]
+        pool = edge_sets(sample_many(g, spec, draws, r))
         for _ in range(5):
             S = set(rng.sample(range(g.n), 2))
             p = exact.exact_kpath(g, S, 3) / g.n
