@@ -4,7 +4,8 @@ All pair sums use the ordered-pair convention and count only internal path
 nodes.  The betweenness and coverage oracles read one numpy BFS sweep over
 blocks of graph.block_sources(n) sources: the DAG levels of
 graph.bfs_levels, the level loop that the pair samplers' BFS runs too,
-with float64 path counts sigma and set-avoiding counts tau.  set_bwc,
+with float64 path counts sigma (held as int32 where that is exact) and
+set-avoiding counts tau.  set_bwc,
 exact_coverage and brute_force_max refuse counts above 2^53 (SizeError),
 so theirs are exact integers, and set_bwc sums the correctly rounded
 per-pair ratios with math.fsum, so results do not depend on accumulation
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SizeError
-from .graph import all_triangles, bfs_levels, block_sources
+from .graph import all_triangles, bfs_levels, block_sources, counts_fit_int32
 from .maximize import HyperEdgePool, check_k, greedy_cover
 from .samplers import check_kappa
 
@@ -29,8 +30,9 @@ _BRUTE_FORCE_GUARD = 10 ** 7
 
 # ex_greedy holds the BFS blocks (path counts and DAG arcs) of its graph
 # up to this many bytes, so every round reuses them; blocks past it are
-# swept again each round.  ran:1000 takes about 14 MB before the first
-# pick; each round narrows the held arcs, so the held bytes only shrink.
+# swept again each round.  ran:1000 takes about 10 MB before the first
+# pick, 3.8 MB of it int32 path counts; each round narrows the held arcs,
+# so the held bytes only shrink.
 _HELD_BYTES = 2 ** 25
 
 
@@ -160,11 +162,17 @@ def _blocks(g, held=()):
 
 def _held_blocks(g):
     """The leading source blocks of g whose arrays fit in _HELD_BYTES.
-    Their cells are stored as int16 where they fit, as int32 otherwise."""
+    Their cells are stored as int16 where they fit, as int32 otherwise,
+    and their path counts as int32 where the block's largest count is
+    below 2^31 (graph.counts_fit_int32, the cache's test), as float64
+    otherwise: either way exact, and read as float64."""
     held, total = [], 0
     for block in _blocks(g):
         cell = np.int16 if block.sigma.size <= 2 ** 15 else np.int32
-        block = _Block(block.origin.astype(cell), block.sigma,
+        sigma = block.sigma
+        if counts_fit_int32(sigma):
+            sigma = sigma.astype(np.int32)
+        block = _Block(block.origin.astype(cell), sigma,
                        [(p.astype(cell), c.astype(cell))
                         for p, c in block.levels])
         total += block.nbytes()
@@ -177,10 +185,11 @@ def _held_blocks(g):
 class _Block(NamedTuple):
     """Pass 1 of the sweep for a block of sources.  Cells are (source,
     node) pairs numbered i * n + node.  `origin` holds the source cells,
-    `sigma` the shortest-path count of every cell (0 if unreached), and
-    levels[i] the DAG arcs (parent cells, child cells) into distance
-    i + 1.  A block narrowed for the set `narrowed` keeps only the arcs
-    that a shortest path avoiding it can use (see _avoiding)."""
+    `sigma` the shortest-path count of every cell (0 if unreached), as
+    float64 or, in a held block whose counts fit, int32, and levels[i]
+    the DAG arcs (parent cells, child cells) into distance i + 1.  A
+    block narrowed for the set `narrowed` keeps only the arcs that a
+    shortest path avoiding it can use (see _avoiding)."""
     origin: np.ndarray
     sigma: np.ndarray
     levels: list
@@ -218,9 +227,10 @@ def _dependency(block, tau):
     past the first level leaves a blocked cell, so a blocked child's
     delta is 0 and it adds only itself as a target."""
     origin, sigma = block.origin, block.sigma
-    # 1 / sigma is read only at child cells, all of them reached.
+    # 1 / sigma is read only at child cells, all of them reached.  The
+    # dtype matters: on int32 counts np.reciprocal divides as integers.
     with np.errstate(divide="ignore"):
-        inv = np.reciprocal(sigma)
+        inv = np.reciprocal(sigma, dtype=np.float64)
     delta = np.zeros(sigma.size)
     for parent, child in reversed(block.levels):
         child = child.astype(np.intp, copy=False)

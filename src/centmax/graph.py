@@ -8,6 +8,7 @@ parallel edges are dropped at construction.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,16 +176,22 @@ def _lists(indptr, indices):
 def bfs_dag(g, s, *, stop_at=None):
     """Level-synchronous BFS from s along out-edges: (dist, sigma) by node,
     hop distances with -1 for unreachable and exact shortest-path counts.
-    For n <= _CACHE_MAX_N, the full row as lists, cached on the graph as
-    fill_dag_cache's rows are; treat it as immutable.  Above, uncached:
-    bfs_dist_sigma's int64 row, or the list BFS's lists once the kernel
-    gives up, with the levels past dist[stop_at] unexpanded (-1)."""
+    For n <= _CACHE_MAX_N, the full row, cached on the graph in the form
+    _cache_rows gives fill_dag_cache's rows: typed arrays, or the list
+    BFS's lists if a count passes int64; treat it as immutable.  Above,
+    uncached: bfs_dist_sigma's int64 row, or the list BFS's lists once
+    the kernel gives up, with the levels past dist[stop_at] unexpanded
+    (-1)."""
     _check_id(g, s, "source")
     if stop_at is not None:
         _check_id(g, stop_at, "stop_at")
     if g.n <= _CACHE_MAX_N:
         if s not in g._dag_cache:
-            g._dag_cache[s] = _list_bfs(g, s)
+            row = dist, sigma = _list_bfs(g, s)
+            if max(sigma) < 2 ** 63:
+                (row,) = _cache_rows(np.array([dist], dtype=np.int64),
+                                     np.array([sigma], dtype=np.int64))
+            g._dag_cache[s] = row
         return g._dag_cache[s]
     rows = bfs_dist_sigma(g, np.array([s], dtype=np.int64), stop_at)
     if rows is None:
@@ -246,8 +253,24 @@ def fill_dag_cache(g, sources):
             for s in todo[lo:]:
                 bfs_dag(g, s)
             return
-        g._dag_cache.update(zip(block, zip(rows[0].tolist(),
-                                           rows[1].tolist())))
+        g._dag_cache.update(zip(block, _cache_rows(*rows)))
+
+
+def _cache_rows(dist, sigma):
+    """The cache's rows of a block's int64 (dist, sigma) arrays, each row
+    a pair of array.array: dist as int16 ("h"), which holds every
+    distance below _CACHE_MAX_N, and sigma as int32 ("i") if the block's
+    counts fit it, int64 ("q") otherwise.  Indexing either gives Python
+    ints, as the lists of the list BFS do, in under half their bytes."""
+    code = "i" if counts_fit_int32(sigma) else "q"
+    return [(array("h", d.tobytes()), array(code, c.tobytes()))
+            for d, c in zip(dist.astype("h"), sigma.astype(code))]
+
+
+def counts_fit_int32(sigma):
+    """Whether every path count of the array `sigma`, int64 or integral
+    float64, is below 2**31, so that int32 holds it exactly."""
+    return int(sigma.max()) < 2 ** 31
 
 
 def bfs_dist_sigma(g, sources, stop_at=None):

@@ -269,6 +269,45 @@ class TestSweep:
             brandes(g)
 
 
+class TestHeldCounts:
+    """A held block stores its path counts as int32 only while the block's
+    largest count is below 2^31, so that int32 holds each exactly, and as
+    float64 past that; the oracles read both as float64."""
+
+    @pytest.mark.parametrize("count, dtype", [(30, np.int32),
+                                              (31, np.float64),
+                                              (32, np.float64)])
+    def test_int32_only_below_2_31(self, count, dtype):
+        # Node 3 * count has 2^count paths from node 0, the largest count
+        # of the one block of every source.
+        g = Graph(3 * count + 1, diamond_chain_edges(count))
+        (held,) = exact._held_blocks(g)
+        (fresh,) = exact._blocks(g)
+        assert held.sigma.dtype == dtype
+        assert held.sigma.max() == 2 ** count
+        assert np.array_equal(held.sigma, fresh.sigma)
+
+    def test_int32_counts_give_the_float64_bits(self):
+        # The dependency pass reads 1 / sigma as float64 whatever the
+        # dtype of the counts; an integer reciprocal would floor it to 0.
+        g = generators.gen_ran(300, seeded(1))
+        held = exact._held_blocks(g)
+        assert len(held) > 1
+        for block, fresh in zip(held, exact._blocks(g)):
+            assert block.sigma.dtype == np.int32
+            assert block.nbytes() < fresh.nbytes()
+            assert (exact._dependency(block, block.sigma).tobytes()
+                    == exact._dependency(fresh, fresh.sigma).tobytes())
+            nodes = set(range(0, g.n, 7))
+            cell_open = np.tile([float(v not in nodes) for v in range(g.n)],
+                                len(fresh.origin))
+            tau, _ = exact._avoiding(fresh, cell_open)
+            hit = tau < fresh.sigma
+            assert np.array_equal(tau < block.sigma, hit)
+            assert ((tau[hit] / block.sigma[hit]).tobytes()
+                    == (tau[hit] / fresh.sigma[hit]).tobytes())
+
+
 class TestNarrowing:
     """adaptive_bwc_all narrows the held blocks it is given to the arcs
     that a path avoiding the set still uses; ex_greedy's later rounds

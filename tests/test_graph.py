@@ -1,5 +1,7 @@
 import math
 import operator
+import tracemalloc
+from array import array
 from collections import deque
 from contextlib import suppress
 from itertools import accumulate, combinations
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact, experiments, graph, maximize, samplers
+from centmax import (exact, experiments, generators, graph, maximize,
+                     samplers)
 from centmax.errors import ParseError
 from centmax.graph import (Graph, all_triangles, bfs_dag,
                            graph_from_labeled_edges, load_edge_list,
@@ -330,8 +333,8 @@ def naive_bfs_dist(g, s):
 class TestBfsDag:
     def test_path_graph(self):
         dist, sigma = bfs_dag(path_graph(4), 0)
-        assert dist == [0, 1, 2, 3]
-        assert sigma == [1, 1, 1, 1]
+        assert list(dist) == [0, 1, 2, 3]
+        assert list(sigma) == [1, 1, 1, 1]
 
     def test_cycle_antipodal_sigma(self):
         _, sigma = bfs_dag(cycle_graph(4), 0)
@@ -366,7 +369,7 @@ class TestBfsDag:
         for _ in range(20):
             g = random_graph(rng.randrange(2, 100), 0.08, rng)
             dist, _ = bfs_dag(g, 0)
-            assert dist == naive_bfs_dist(g, 0)
+            assert list(dist) == naive_bfs_dist(g, 0)
 
     @pytest.fixture
     def uncached(self, monkeypatch, bfs_calls):
@@ -452,6 +455,74 @@ class TestBfsDag:
                            match=f"^source {s} out of range for n=3$"):
             graph.fill_dag_cache(g, [1, s])
         assert not g._dag_cache
+
+
+class TestCacheRows:
+    """The bfs_dag cache's rows: int16 distances and int32 path counts in
+    array.array, int64 counts for a block whose counts pass 2^31, and
+    Python-int lists only for a row whose counts pass int64."""
+
+    def test_fill_keeps_under_7_kb_per_row_of_ran1000(self):
+        # Lists of Python ints took about 16 KB a row: two 8 KB arrays of
+        # pointers, plus an int object per count past 256.
+        g = generators.gen_ran(1000, seeded(1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph.fill_dag_cache(g, range(g.n))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(g._dag_cache) == g.n
+        assert kept / g.n <= 7 * 1024
+        assert {(d.typecode, c.typecode)
+                for d, c in g._dag_cache.values()} == {("h", "i")}
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_fill_rows_equal_the_list_bfs(self, directed):
+        # The swept rows against bfs_dag's list BFS on a second copy of
+        # the graph, element by element, typecode by typecode.
+        rng = seeded(41 + directed)
+        for _ in range(4):
+            g = random_graph(rng.randrange(60, 200), 0.04, rng, directed)
+            listed = Graph(g.n, list(g.edges()), directed=directed)
+            graph.fill_dag_cache(g, range(g.n))
+            for s in range(g.n):
+                dist, sigma = g._dag_cache[s]
+                want_dist, want_sigma = bfs_dag(listed, s)
+                assert (dist.typecode, sigma.typecode) == ("h", "i")
+                assert (want_dist.typecode, want_sigma.typecode) == \
+                    ("h", "i")
+                assert list(dist) == list(want_dist)
+                assert list(sigma) == list(want_sigma)
+
+    @pytest.mark.parametrize("count, code", [(30, "i"), (31, "q"),
+                                             (32, "q")])
+    def test_block_past_2_31_gets_int64_counts(self, count, code,
+                                               monkeypatch):
+        # Node 3 * count has 2^count paths from node 0, the largest count
+        # of the block of every source, swept with the thin rule off.
+        monkeypatch.setattr(graph, "_THIN_LEVEL_ARCS", 0)
+        g = Graph(3 * count + 1, diamond_chain_edges(count))
+        assert graph.block_sources(g.n) >= g.n
+        graph.fill_dag_cache(g, range(g.n))
+        assert {c.typecode for _, c in g._dag_cache.values()} == {code}
+        assert g._dag_cache[0][1][-1] == 2 ** count
+        for s in (0, 1, g.n - 1):
+            dist, sigma = g._dag_cache[s]
+            assert (list(dist), list(sigma)) == eager_bfs_dag(g, s)[:2]
+
+    @pytest.mark.parametrize("count, typed", [(62, True), (64, False)])
+    def test_list_rows_past_int64_stay_python_ints(self, count, typed):
+        # bfs_dag's list BFS caches its row in the fill's form while the
+        # counts fit int64, and as lists of Python ints past it.
+        g = Graph(3 * count + 1, diamond_chain_edges(count))
+        dist, sigma = bfs_dag(g, 0)
+        assert bfs_dag(g, 0)[1] is sigma
+        assert type(sigma) is (array if typed else list)
+        assert type(dist) is (array if typed else list)
+        assert (list(dist), list(sigma)) == eager_bfs_dag(g, 0)[:2]
+        assert sigma[-1] == 2 ** count
 
 
 class TestBfsLevels:
@@ -566,7 +637,8 @@ class TestLazyPreds:
                              rng, directed=directed)
             for s in range(g.n):
                 dist, sigma, _ = eager_bfs_dag(g, s)
-                assert bfs_dag(g, s) == (dist, sigma)
+                row = bfs_dag(g, s)
+                assert (list(row[0]), list(row[1])) == (dist, sigma)
 
 
 class TestTriangles:

@@ -1,11 +1,13 @@
-"""Bit-identity pins of the draw-and-cover path.
+"""Bit-identity pins of the draw-and-cover path and of the exact oracles.
 
 Each test hashes, with sha1, every output of one stage over a fixed set of
 seeded cases and compares the digest with the one the code gave before the
 pair walks became functions of a BFS row and the lazy greedy took its
-zero-degree tail after the heap.  A change that moves any pick, marginal,
-estimate bit or pool byte fails here; a deliberate change of output must
-record new digests and say why.
+zero-degree tail after the heap; the exact oracles' digest is the one they
+gave while the BFS rows and the held path counts were still stored 8 bytes
+per count.  A change that moves any pick, marginal, estimate bit, score
+bit or pool byte fails here; a deliberate change of output must record new
+digests and say why.
 """
 import hashlib
 import random
@@ -16,7 +18,7 @@ from centmax import exact, experiments, generators
 from centmax.graph import Graph
 from centmax.maximize import HyperEdgePool, build_pool, greedy_cover
 from centmax.samplers import SamplerSpec, sample, sample_many
-from conftest import path_graph, seeded
+from conftest import diamond_chain_edges, path_graph, seeded
 
 KRON_SEED = [[0.9, 0.5], [0.5, 0.2]]
 
@@ -63,6 +65,16 @@ def pair_graphs():
             "ran:2100": generators.gen_ran(2100, seeded(1))}
 
 
+def exact_graphs():
+    """Graphs whose held path counts fit 4 bytes, and a chain of 32
+    diamonds whose 2^32 counts do not."""
+    graphs = pair_graphs()
+    return {"ran:300": graphs["ran:300"],
+            "kron:10 directed": graphs["kron:10 directed"],
+            "path:1000": path_graph(1000),
+            "diamonds:32": Graph(3 * 32 + 1, diamond_chain_edges(32))}
+
+
 def test_greedy_on_random_pools():
     parts = []
     for seed in range(400):
@@ -102,7 +114,21 @@ def test_pair_pools_and_single_draws():
     assert digest(parts) == PAIR_DIGEST
 
 
+def test_exact_oracles():
+    parts = []
+    for name, g in exact_graphs().items():
+        picks, scores = exact.ex_greedy(g, 5)
+        parts += [name, picks, [x.hex() for x in scores],
+                  exact.set_bwc(g, picks[:3]).hex(),
+                  [x.hex() for x in exact.brandes(g)]]
+        if g.n <= 300:
+            best, value = exact.brute_force_max(g, 1)
+            parts += [sorted(best), value.hex()]
+    assert digest(parts) == EXACT_DIGEST
+
+
 GREEDY_DIGEST = "6a6fc215a2b4464cdf448197ce4a038f8ed7dd58"
 KINDS_DIGEST = "ec8f4695efb25b0cbf87a51461d910d6ec1f3f05"
 ORDERING_DIGEST = "eaeb6ac0af45f97ae9da6d1c8f1b506187029b5a"
 PAIR_DIGEST = "5feaccf3746a003f79104dba5af62ab975bffc9b"
+EXACT_DIGEST = "749309f3d91d4cf7f3a7d81e0db106d176d7a8f8"
