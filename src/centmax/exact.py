@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SizeError
-from .graph import all_triangles, bfs_levels, block_sources, counts_fit_int32
+from .graph import (all_triangles, bfs_levels, block_sources,
+                    counts_fit_int32, _check_id)
 from .maximize import HyperEdgePool, check_k, greedy_cover
 from .samplers import check_kappa
 
@@ -44,12 +45,9 @@ def brandes(g):
 
 
 def _node_set(g, nodes):
-    """The distinct ids of `nodes`; ValueError if one is outside 0..n-1."""
-    nodes = frozenset(nodes)
-    for v in nodes:
-        if not 0 <= v < g.n:
-            raise ValueError(f"node {v} out of range")
-    return nodes
+    """The distinct ids of `nodes` as ints; ValueError if one is not an
+    integer in 0..n-1."""
+    return frozenset(_check_id(g, v, "node") for v in nodes)
 
 
 def set_bwc(g, nodes, blocks=None):

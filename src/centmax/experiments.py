@@ -3,6 +3,7 @@ influence-maximization baseline, and time-evolving snapshot series."""
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -40,11 +41,14 @@ class AttackCurve:
 def attack_curve(g, ordering, cap):
     """Largest weakly connected component size for every removal prefix
     0..cap, via reverse insertion with union-find (near-linear total).
-    ValueError unless the first cap entries of ordering are distinct ids in
-    0..n-1."""
+    ValueError unless the first cap entries of ordering are distinct
+    integer ids in 0..n-1."""
     if not 0 <= cap <= g.n:
         raise ValueError(f"cap={cap} is outside 0..n={g.n}")
-    prefix = list(ordering[:cap])
+    try:
+        prefix = [operator.index(v) for v in ordering[:cap]]
+    except TypeError:
+        prefix = []     # too short, so refused below
     removed = set(prefix)
     if len(removed) < cap or not all(0 <= v < g.n for v in removed):
         raise ValueError(f"the first cap={cap} entries of the ordering are "

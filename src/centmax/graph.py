@@ -7,6 +7,7 @@ parallel edges are dropped at construction.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -182,9 +183,9 @@ def bfs_dag(g, s, *, stop_at=None):
     uncached: bfs_dist_sigma's int64 row, or the list BFS's lists once
     the kernel gives up, with the levels past dist[stop_at] unexpanded
     (-1)."""
-    _check_id(g, s, "source")
+    s = _check_id(g, s, "source")
     if stop_at is not None:
-        _check_id(g, stop_at, "stop_at")
+        stop_at = _check_id(g, stop_at, "stop_at")
     if g.n <= _CACHE_MAX_N:
         if s not in g._dag_cache:
             row = dist, sigma = _list_bfs(g, s)
@@ -227,8 +228,15 @@ def _list_bfs(g, s, stop_at=None):
 
 
 def _check_id(g, v, what):
-    if not (0 <= v < g.n):
+    """The id v as an int (operator.index); ValueError unless it is an
+    integer in 0..n-1."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer id") from None
+    if not 0 <= i < g.n:
         raise ValueError(f"{what} {v} out of range for n={g.n}")
+    return i
 
 
 def fill_dag_cache(g, sources):
@@ -241,10 +249,8 @@ def fill_dag_cache(g, sources):
     are mostly properties of the graph, which the later blocks share."""
     if g.n > _CACHE_MAX_N:
         return
-    todo = sorted({s for s in sources if s not in g._dag_cache})
-    if todo:
-        _check_id(g, todo[0], "source")
-        _check_id(g, todo[-1], "source")
+    todo = sorted({_check_id(g, s, "source")
+                   for s in sources}.difference(g._dag_cache))
     step = block_sources(g.n)
     for lo in range(0, len(todo), step):
         block = todo[lo:lo + step]

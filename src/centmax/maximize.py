@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 import sys
 import time
@@ -55,12 +56,19 @@ class HyperEdgePool:
 
     @classmethod
     def from_edges(cls, edges, n, alpha_value, singles=None, empties=0):
-        """Index a pool given as a CSR pair (edge_ptr, edge_nodes) or as a
-        sequence of node sets, plus singles[v] more hyper-edges {v} for
-        each node v and `empties` more empty ones.  ValueError if a node is
-        outside 0..n-1."""
-        ptr, nodes = (edges if isinstance(edges, tuple)
-                      else samplers.pack(edges))
+        """Index a pool given as a CSR pair (edge_ptr, edge_nodes) of numpy
+        arrays or as a sequence of node sets, plus singles[v] more
+        hyper-edges {v} for each node v and `empties` more empty ones.
+        ValueError if a node is not an integer in 0..n-1."""
+        if (isinstance(edges, tuple) and len(edges) == 2
+                and all(isinstance(a, np.ndarray) for a in edges)):
+            ptr, nodes = edges
+        else:
+            try:
+                ptr, nodes = samplers.pack(
+                    [list(map(operator.index, h)) for h in edges])
+            except TypeError:
+                raise ValueError("node sets must hold integer ids") from None
         bad = nodes[(nodes < 0) | (nodes >= n)]
         if bad.size:
             raise ValueError(f"node {bad[0]} out of range")

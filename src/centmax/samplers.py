@@ -85,7 +85,13 @@ def sample(g, spec, rng):
 def split_chunks(g, spec, q, rng):
     """q independent hyper-edges drawn in order from rng, yielded as Split
     chunks of at most _CHUNK draws.  RR sets come from numpy batches, pair
-    draws from _pair_chunks; kpath walks one draw at a time."""
+    draws from _pair_chunks; kpath walks one draw at a time.  ValueError
+    before any draw on a graph too small to draw from, where alpha is 0:
+    n < 2 for the pair kinds, n < 1 for the others."""
+    if not alpha(spec, g):
+        raise ValueError(f"the {spec.kind} sampler needs "
+                         f"n >= {2 if spec.kind in _PAIR_WALKS else 1}, "
+                         f"got n={g.n}")
     if spec.kind == "rr-influence":
         yield from _rr_chunks(g, spec.p, q, rng)
         return
@@ -167,19 +173,11 @@ def expand(chunk):
 
 
 def _random_ordered_pair(n, rng):
-    if n < 2:
-        raise ValueError("pair samplers need n >= 2")
     s = rng.randrange(n)
     t = rng.randrange(n - 1)
     if t >= s:
         t += 1
     return s, t
-
-
-def _linked(g, s, t):
-    """False if t is surely unreachable from s: s has no out-arc or t no
-    in-arc.  A pair that fails it needs no BFS."""
-    return bool(g.adj[s]) and bool(g.radj[t])
 
 
 def _pair_chunks(g, walk, q, rng):
@@ -194,7 +192,10 @@ def _pair_chunks(g, walk, q, rng):
     for start in range(0, q, _CHUNK):
         pairs = [_random_ordered_pair(g.n, rng)
                  for _ in range(min(_CHUNK, q - start))]
-        linked = [i for i, (s, t) in enumerate(pairs) if _linked(g, s, t)]
+        # t is surely unreachable from s if s has no out-arc or t no
+        # in-arc; such a pair needs no BFS.
+        adj, radj = g.adj, g.radj
+        linked = [i for i, (s, t) in enumerate(pairs) if adj[s] and radj[t]]
         fill_dag_cache(g, [pairs[i][0] for i in linked])
         edges = [()] * len(pairs)
         for i in linked:
@@ -205,20 +206,13 @@ def _pair_chunks(g, walk, q, rng):
         yield split(*pack(edges))
 
 
-def _preds(g, dist, v):
-    """v's predecessors in the shortest-path DAG that dist describes, in id
-    order; v must not be the source."""
-    dvm1 = dist[v] - 1
-    return [u for u in g.radj[v] if dist[u] == dvm1]
-
-
 def _walk_bwc(g, dist, sigma, t, rng):
     """The internal nodes of a uniformly random shortest path to t in the
     shortest-path DAG of the row (dist, sigma), as a list from t's side;
     dist[t] must be at least 2."""
     # Walk backward from t, picking each predecessor u with probability
     # sigma(u)/sigma(v); exact uniformity over all shortest paths.
-    # The predecessors are scanned in id order, as _preds lists them.
+    # The predecessors are scanned in id order, as radj lists them.
     radj = g.radj
     internal = []
     v = t
@@ -240,13 +234,18 @@ def _walk_coverage(g, dist, sigma, t, rng):
     shortest-path DAG of the row dist (the ancestors of t, less the
     source), as a sorted list; dist[t] must be at least 2.  Neither sigma
     nor rng is read."""
+    radj = g.radj
     seen = set()
     stack = [t]
     while stack:
-        for u in _preds(g, dist, stack.pop()):
-            if u not in seen and dist[u] > 0:
-                seen.add(u)
-                stack.append(u)
+        v = stack.pop()
+        # A node at distance 1 has only the source before it.
+        dvm1 = dist[v] - 1
+        if dvm1:
+            for u in radj[v]:
+                if dist[u] == dvm1 and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
     return sorted(seen)
 
 
@@ -257,8 +256,6 @@ def _walk_kpath(g, kappa, rng):
     """Random simple walk, as a frozenset: uniform start, then uniform
     unvisited neighbors, stopping after kappa edges or when stuck.  The
     start node is included."""
-    if g.n < 1:
-        raise ValueError("kpath sampler needs n >= 1")
     adj = g.adj
     v = rng.randrange(g.n)
     visited = {v}
@@ -289,8 +286,6 @@ def _rr_chunks(g, p, q, rng):
     the nodes reaching it through edges that are independently live with
     probability p, target included."""
     n = g.n
-    if n < 1:
-        raise ValueError("rr sampler needs n >= 1")
     rcsr = g.rcsr()
     gen = np.random.default_rng(rng.getrandbits(64))
     done = cells = 0

@@ -515,6 +515,17 @@ class TestSetBwc:
         with pytest.raises(ValueError):
             set_bwc(path_graph(3), {9})
 
+    @pytest.mark.parametrize("node", [1.0, 0.5])
+    def test_non_integer_id(self, node):
+        with pytest.raises(ValueError,
+                           match=f"node {node} is not an integer id"):
+            set_bwc(path_graph(3), {node})
+
+    def test_integer_like_ids(self):
+        g = path_graph(3)
+        assert set_bwc(g, {True}) == set_bwc(g, {np.int64(1)}) \
+            == set_bwc(g, {1}) == 2.0
+
     def test_matches_enumeration_oracle(self):
         # Dense undirected graphs, then directed ones, then sparse ones
         # with unreachable pairs.
@@ -736,6 +747,10 @@ class TestKPath:
     def test_out_of_range_node(self, node):
         with pytest.raises(ValueError, match=f"node {node} out of range"):
             exact_kpath(path_graph(4), {node}, 2)
+
+    def test_non_integer_node(self):
+        with pytest.raises(ValueError, match="node 1.5 is not an integer id"):
+            exact_kpath(path_graph(3), {1.5}, 2)
 
     def test_kappa_below_one_rejected(self):
         with pytest.raises(ValueError, match="kappa"):

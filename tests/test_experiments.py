@@ -65,11 +65,16 @@ class TestAttackCurve:
         assert curve.lcc_size == [4, 1]
 
     @pytest.mark.parametrize("ordering", [[1, 2], [1, 4, 2], [1, -1, 2],
-                                          [1, 1, 2]])
+                                          [1, 1, 2], [1, 1.5, 2],
+                                          [1, 2.0, 3]])
     def test_bad_ordering_prefix_is_refused(self, ordering):
-        # Too short, an id out of range, a repeated id.
+        # Too short, an id out of range, a repeated id, non-integer ids.
         with pytest.raises(ValueError, match=r"not distinct ids in 0\.\.3"):
             attack_curve(path_graph(4), ordering, 3)
+
+    def test_integer_like_entries(self):
+        curve = attack_curve(path_graph(3), [np.int64(1), True], 1)
+        assert curve.lcc_size == [3, 1]
 
     def test_entries_past_cap_are_not_read(self):
         curve = attack_curve(path_graph(4), [1, 0, 0, 9], 2)
@@ -200,6 +205,11 @@ class TestLiveEdgeCascades:
     def test_seed_out_of_range_is_refused(self, seeds):
         with pytest.raises(ValueError, match=f"node {seeds[-1]} out of range"):
             ic_spread(path_graph(3), seeds, 1.0, runs=5, rng=seeded(0))
+
+    def test_non_integer_seed_is_refused(self):
+        # Truncated, 1.5 would seed node 1.
+        with pytest.raises(ValueError, match="node 1.5 is not an integer id"):
+            ic_spread(path_graph(3), {1.5}, 1.0, runs=10, rng=seeded(0))
 
     @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
     def test_p_outside_0_to_1_is_refused(self, p):

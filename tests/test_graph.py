@@ -349,6 +349,21 @@ class TestBfsDag:
         with pytest.raises(ValueError):
             bfs_dag(path_graph(3), 5)
 
+    @pytest.mark.parametrize("s, stop_at, message", [
+        (1.5, None, "source 1.5"), (1.0, None, "source 1.0"),
+        (0, 2.0, "stop_at 2.0"), ("1", None, "source '1'")])
+    def test_non_integer_ids_refused(self, s, stop_at, message):
+        g = path_graph(4)
+        with pytest.raises(ValueError,
+                           match=f"^{message} is not an integer id$"):
+            bfs_dag(g, s, stop_at=stop_at)
+        assert not g._dag_cache
+
+    def test_integer_like_ids_are_cached_as_ints(self):
+        g = path_graph(4)
+        assert bfs_dag(g, True) is bfs_dag(g, np.int64(1)) is bfs_dag(g, 1)
+        assert [type(s) for s in g._dag_cache] == [int]
+
     def test_sigma_pred_identity(self):
         # The id-order predecessor rule the pair samplers walk.
         rng = seeded(11)
@@ -359,7 +374,7 @@ class TestBfsDag:
             for v in range(g.n):
                 if v == 0 or dist[v] < 0:
                     continue
-                preds = samplers._preds(g, dist, v)
+                preds = [u for u in g.radj[v] if dist[u] == dist[v] - 1]
                 assert sigma[v] == sum(sigma[u] for u in preds)
                 for u in preds:
                     assert dist[u] + 1 == dist[v]
@@ -454,6 +469,15 @@ class TestBfsDag:
         with pytest.raises(ValueError,
                            match=f"^source {s} out of range for n=3$"):
             graph.fill_dag_cache(g, [1, s])
+        assert not g._dag_cache
+
+    def test_fill_refuses_non_integer_sources(self):
+        # 1.5 lies between the smallest and largest source, so every
+        # source is checked, not only the ends.
+        g = path_graph(4)
+        with pytest.raises(ValueError,
+                           match=r"^source 1\.5 is not an integer id$"):
+            graph.fill_dag_cache(g, [0, 1.5, 3])
         assert not g._dag_cache
 
 

@@ -232,6 +232,21 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="node 5 out of range"):
             HyperEdgePool.from_edges([{5}], 3, 1.0)
 
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 2)), ((0, 1, 2),),
+                                       ((0, 1), (1, 2), (2,)),
+                                       [frozenset({0, 1})]])
+    def test_tuples_and_frozensets_are_node_sets(self, edges):
+        # Only a pair of numpy arrays is a CSR pair.
+        pool = HyperEdgePool.from_edges(edges, 3, 1.0)
+        assert edge_sets(pool) == [frozenset(h) for h in edges]
+
+    @pytest.mark.parametrize("edges", [[[0.5, 1]], [{0, 1}, {1.0}],
+                                       [[0, "1"]]])
+    def test_non_integer_ids_are_refused(self, edges):
+        # Read as int64, 0.5 would index node 0.
+        with pytest.raises(ValueError, match="integer ids"):
+            HyperEdgePool.from_edges(edges, 3, 1.0)
+
 
 def naive_greedy(pool, k):
     edges = edge_sets(pool)

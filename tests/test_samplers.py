@@ -534,14 +534,20 @@ class TestPairChunks:
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_one_node_refused_before_any_draw(self, cached, monkeypatch):
+        # Below each kind's floor alpha is 0: one node for the pair kinds,
+        # none for kpath and RR sets.  No draw reads rng first.
         if not cached:
             monkeypatch.setattr(graph, "_CACHE_MAX_N", 0)
         rng = seeded(1)
         state = rng.getstate()
-        for kind in ("betweenness", "coverage"):
-            with pytest.raises(ValueError, match="pair samplers need n >= 2"):
-                sample_many(Graph(1, []), SamplerSpec(kind), 5, rng)
-        assert rng.getstate() == state
+        for kind, n in (("betweenness", 1), ("coverage", 1), ("kpath", 0),
+                        ("rr-influence", 0)):
+            g, spec = Graph(n, []), SamplerSpec(kind)
+            assert alpha(spec, g) == 0
+            with pytest.raises(ValueError, match=f"^the {kind} sampler "
+                               f"needs n >= {n + 1}, got n={n}$"):
+                sample_many(g, spec, 5, rng)
+            assert rng.getstate() == state
 
 
 class TestDeepPairs:
