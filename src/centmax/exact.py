@@ -162,7 +162,7 @@ def _held_blocks(g):
     """The leading source blocks of g whose arrays fit in _HELD_BYTES.
     Their cells are stored as int16 where they fit, as int32 otherwise,
     and their path counts as int32 where the block's largest count is
-    below 2^31 (graph.counts_fit_int32, the cache's test), as float64
+    below 2^31 (graph.counts_fit_int32, the row stores' test), as float64
     otherwise: either way exact, and read as float64."""
     held, total = [], 0
     for block in _blocks(g):

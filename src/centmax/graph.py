@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ParseError
 
-# Per-source BFS results are cached on the graph below this size; samplers
-# draw many hyper-edges from the same small graph.
+# Below this size a sampling run keeps the BFS row of every source it
+# sweeps, in a row store of its own (fill_dag_cache), since it draws many
+# pairs from the same small graph; the rows die with the run.
 _CACHE_MAX_N = 2048
 
 # A BFS block holds _BLOCK_CELLS // n sources, so its (source, node)
@@ -45,10 +46,11 @@ _THIN_LEVEL_ARCS = 512
 
 class Graph:
     """Simple graph over dense integer ids, held as two CSR pairs with
-    sorted rows."""
+    sorted rows, plus the adjacency lists built from them on first read.
+    It holds no BFS row: a sampling run keeps its own."""
 
     __slots__ = ("n", "directed", "labels", "meta", "_csr", "_rcsr",
-                 "_dag_cache", "_adj", "_radj")
+                 "_adj", "_radj")
 
     def __init__(self, n, edges, directed=False, labels=None, meta=None):
         self.n = n
@@ -59,7 +61,6 @@ class Graph:
         self._csr = _csr_from_keys(u * n + v if directed else
                                    np.concatenate((u * n + v, v * n + u)), n)
         self._rcsr = _csr_from_keys(v * n + u, n) if directed else self._csr
-        self._dag_cache = {}
         self._adj = self._radj = None
 
     @property
@@ -174,30 +175,33 @@ def _lists(indptr, indices):
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def bfs_dag(g, s, *, stop_at=None):
+def bfs_dag(g, s, *, stop_at=None, rows=None):
     """Level-synchronous BFS from s along out-edges: (dist, sigma) by node,
     hop distances with -1 for unreachable and exact shortest-path counts.
-    For n <= _CACHE_MAX_N, the full row, cached on the graph in the form
-    _cache_rows gives fill_dag_cache's rows: typed arrays, or the list
-    BFS's lists if a count passes int64; treat it as immutable.  Above,
-    uncached: bfs_dist_sigma's int64 row, or the list BFS's lists once
-    the kernel gives up, with the levels past dist[stop_at] unexpanded
-    (-1)."""
+    For n <= _CACHE_MAX_N, the full row in the form _cache_rows gives
+    fill_dag_cache's rows: typed arrays, or the list BFS's lists if a
+    count passes int64; treat it as immutable.  With `rows`, a row store
+    (a dict, source -> row), the row is read from it, or BFSed and added
+    to it; without, it is BFSed anew.  Above, neither read nor stored:
+    bfs_dist_sigma's int64 row, or the list BFS's lists once the kernel
+    gives up, with the levels past dist[stop_at] unexpanded (-1)."""
     s = _check_id(g, s, "source")
     if stop_at is not None:
         stop_at = _check_id(g, stop_at, "stop_at")
     if g.n <= _CACHE_MAX_N:
-        if s not in g._dag_cache:
+        if rows is None:
+            rows = {}
+        if s not in rows:
             row = dist, sigma = _list_bfs(g, s)
             if max(sigma) < 2 ** 63:
                 (row,) = _cache_rows(np.array([dist], dtype=np.int64),
                                      np.array([sigma], dtype=np.int64))
-            g._dag_cache[s] = row
-        return g._dag_cache[s]
-    rows = bfs_dist_sigma(g, np.array([s], dtype=np.int64), stop_at)
-    if rows is None:
+            rows[s] = row
+        return rows[s]
+    block = bfs_dist_sigma(g, np.array([s], dtype=np.int64), stop_at)
+    if block is None:
         return _list_bfs(g, s, stop_at)
-    return rows[0][0], rows[1][0]
+    return block[0][0], block[1][0]
 
 
 def _list_bfs(g, s, stop_at=None):
@@ -239,31 +243,32 @@ def _check_id(g, v, what):
     return i
 
 
-def fill_dag_cache(g, sources):
-    """Put bfs_dag(g, s) into g's cache for every s in `sources` not yet
-    in it; nothing for n > _CACHE_MAX_N, whose rows are not cached.  The
-    uncached sources are BFSed block_sources(n) at a time, in id order, by
-    bfs_dist_sigma.  Once it gives up a block, whose counts could overflow
-    int64 or whose BFS runs deep and thin, that block and every later
-    source go through bfs_dag's list BFS instead, once per source: both
-    are mostly properties of the graph, which the later blocks share."""
+def fill_dag_cache(g, sources, rows):
+    """Put bfs_dag(g, s) into the row store `rows` (a dict, source -> row)
+    for every s in `sources` not yet in it; nothing for n > _CACHE_MAX_N,
+    whose rows are not kept.  The sources not in it are BFSed
+    block_sources(n) at a time, in id order, by bfs_dist_sigma.  Once it
+    gives up a block, whose counts could overflow int64 or whose BFS runs
+    deep and thin, that block and every later source go through bfs_dag's
+    list BFS instead, once per source: both are mostly properties of the
+    graph, which the later blocks share."""
     if g.n > _CACHE_MAX_N:
         return
     todo = sorted({_check_id(g, s, "source")
-                   for s in sources}.difference(g._dag_cache))
+                   for s in sources}.difference(rows))
     step = block_sources(g.n)
     for lo in range(0, len(todo), step):
         block = todo[lo:lo + step]
-        rows = bfs_dist_sigma(g, np.array(block, dtype=np.int64))
-        if rows is None:
+        swept = bfs_dist_sigma(g, np.array(block, dtype=np.int64))
+        if swept is None:
             for s in todo[lo:]:
-                bfs_dag(g, s)
+                bfs_dag(g, s, rows=rows)
             return
-        g._dag_cache.update(zip(block, _cache_rows(*rows)))
+        rows.update(zip(block, _cache_rows(*swept)))
 
 
 def _cache_rows(dist, sigma):
-    """The cache's rows of a block's int64 (dist, sigma) arrays, each row
+    """The stored rows of a block's int64 (dist, sigma) arrays, each row
     a pair of array.array: dist as int16 ("h"), which holds every
     distance below _CACHE_MAX_N, and sigma as int32 ("i") if the block's
     counts fit it, int64 ("q") otherwise.  Indexing either gives Python

@@ -78,7 +78,9 @@ def alpha(spec, g):
 
 def sample(g, spec, rng):
     """Draw one hyper-edge according to spec, as a frozenset: sample_many's
-    batch of one."""
+    batch of one.  Each call is a sampling run of its own, so for a pair
+    kind on n <= 2048 it sweeps its source anew, keeping no row; a loop of
+    draws should call sample_many, whose run sweeps each source once."""
     return frozenset(sample_many(g, spec, 1, rng)[1].tolist())
 
 
@@ -182,13 +184,16 @@ def _random_ordered_pair(n, rng):
 
 def _pair_chunks(g, walk, q, rng):
     """q pair draws as Split chunks of at most _CHUNK draws.  A chunk draws
-    all its pairs from rng first; it then fills the bfs_dag cache for the
-    sources of its linked pairs in numpy blocks (fill_dag_cache, a no-op
-    on graphs too large to cache), and last walks each pair, in draw
-    order.  A pair's draw is empty if t is unreachable from s or adjacent
-    to it; otherwise it is walk(g, dist, sigma, t, rng) over bfs_dag's row
-    from s, whose dist and sigma are exact for every node v with
-    dist[v] <= dist[t].  bfs_dag runs once per linked pair."""
+    all its pairs from rng first; it then fills the run's row store for
+    the sources of its linked pairs in numpy blocks (fill_dag_cache, a
+    no-op on graphs too large to keep rows), and last walks each pair, in
+    draw order.  A pair's draw is empty if t is unreachable from s or
+    adjacent to it; otherwise it is walk(g, dist, sigma, t, rng) over
+    bfs_dag's row from s, whose dist and sigma are exact for every node v
+    with dist[v] <= dist[t].  bfs_dag runs once per linked pair.  The
+    store is this call's own: each source is swept at most once per run,
+    and the rows die with the run."""
+    rows = {}
     for start in range(0, q, _CHUNK):
         pairs = [_random_ordered_pair(g.n, rng)
                  for _ in range(min(_CHUNK, q - start))]
@@ -196,11 +201,11 @@ def _pair_chunks(g, walk, q, rng):
         # in-arc; such a pair needs no BFS.
         adj, radj = g.adj, g.radj
         linked = [i for i, (s, t) in enumerate(pairs) if adj[s] and radj[t]]
-        fill_dag_cache(g, [pairs[i][0] for i in linked])
+        fill_dag_cache(g, [pairs[i][0] for i in linked], rows)
         edges = [()] * len(pairs)
         for i in linked:
             s, t = pairs[i]
-            dist, sigma = bfs_dag(g, s, stop_at=t)
+            dist, sigma = bfs_dag(g, s, stop_at=t, rows=rows)
             if dist[t] > 1:
                 edges[i] = walk(g, dist, sigma, t, rng)
         yield split(*pack(edges))

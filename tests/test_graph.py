@@ -353,16 +353,17 @@ class TestBfsDag:
         (1.5, None, "source 1.5"), (1.0, None, "source 1.0"),
         (0, 2.0, "stop_at 2.0"), ("1", None, "source '1'")])
     def test_non_integer_ids_refused(self, s, stop_at, message):
-        g = path_graph(4)
+        g, rows = path_graph(4), {}
         with pytest.raises(ValueError,
                            match=f"^{message} is not an integer id$"):
-            bfs_dag(g, s, stop_at=stop_at)
-        assert not g._dag_cache
+            bfs_dag(g, s, stop_at=stop_at, rows=rows)
+        assert not rows
 
     def test_integer_like_ids_are_cached_as_ints(self):
-        g = path_graph(4)
-        assert bfs_dag(g, True) is bfs_dag(g, np.int64(1)) is bfs_dag(g, 1)
-        assert [type(s) for s in g._dag_cache] == [int]
+        g, rows = path_graph(4), {}
+        assert bfs_dag(g, True, rows=rows) is \
+            bfs_dag(g, np.int64(1), rows=rows) is bfs_dag(g, 1, rows=rows)
+        assert [type(s) for s in rows] == [int]
 
     def test_sigma_pred_identity(self):
         # The id-order predecessor rule the pair samplers walk.
@@ -465,55 +466,55 @@ class TestBfsDag:
 
     @pytest.mark.parametrize("s", [-1, 3])
     def test_fill_refuses_sources_out_of_range(self, s):
-        g = path_graph(3)
+        g, rows = path_graph(3), {}
         with pytest.raises(ValueError,
                            match=f"^source {s} out of range for n=3$"):
-            graph.fill_dag_cache(g, [1, s])
-        assert not g._dag_cache
+            graph.fill_dag_cache(g, [1, s], rows)
+        assert not rows
 
     def test_fill_refuses_non_integer_sources(self):
         # 1.5 lies between the smallest and largest source, so every
         # source is checked, not only the ends.
-        g = path_graph(4)
+        g, rows = path_graph(4), {}
         with pytest.raises(ValueError,
                            match=r"^source 1\.5 is not an integer id$"):
-            graph.fill_dag_cache(g, [0, 1.5, 3])
-        assert not g._dag_cache
+            graph.fill_dag_cache(g, [0, 1.5, 3], rows)
+        assert not rows
 
 
 class TestCacheRows:
-    """The bfs_dag cache's rows: int16 distances and int32 path counts in
+    """A row store's rows: int16 distances and int32 path counts in
     array.array, int64 counts for a block whose counts pass 2^31, and
     Python-int lists only for a row whose counts pass int64."""
 
     def test_fill_keeps_under_7_kb_per_row_of_ran1000(self):
         # Lists of Python ints took about 16 KB a row: two 8 KB arrays of
         # pointers, plus an int object per count past 256.
-        g = generators.gen_ran(1000, seeded(1))
+        g, rows = generators.gen_ran(1000, seeded(1)), {}
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            graph.fill_dag_cache(g, range(g.n))
+            graph.fill_dag_cache(g, range(g.n), rows)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(g._dag_cache) == g.n
+        assert len(rows) == g.n
         assert kept / g.n <= 7 * 1024
         assert {(d.typecode, c.typecode)
-                for d, c in g._dag_cache.values()} == {("h", "i")}
+                for d, c in rows.values()} == {("h", "i")}
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_fill_rows_equal_the_list_bfs(self, directed):
-        # The swept rows against bfs_dag's list BFS on a second copy of
-        # the graph, element by element, typecode by typecode.
+        # The swept rows against bfs_dag's list BFS, which runs anew
+        # without a row store, element by element, typecode by typecode.
         rng = seeded(41 + directed)
         for _ in range(4):
             g = random_graph(rng.randrange(60, 200), 0.04, rng, directed)
-            listed = Graph(g.n, list(g.edges()), directed=directed)
-            graph.fill_dag_cache(g, range(g.n))
+            rows = {}
+            graph.fill_dag_cache(g, range(g.n), rows)
             for s in range(g.n):
-                dist, sigma = g._dag_cache[s]
-                want_dist, want_sigma = bfs_dag(listed, s)
+                dist, sigma = rows[s]
+                want_dist, want_sigma = bfs_dag(g, s)
                 assert (dist.typecode, sigma.typecode) == ("h", "i")
                 assert (want_dist.typecode, want_sigma.typecode) == \
                     ("h", "i")
@@ -529,24 +530,29 @@ class TestCacheRows:
         monkeypatch.setattr(graph, "_THIN_LEVEL_ARCS", 0)
         g = Graph(3 * count + 1, diamond_chain_edges(count))
         assert graph.block_sources(g.n) >= g.n
-        graph.fill_dag_cache(g, range(g.n))
-        assert {c.typecode for _, c in g._dag_cache.values()} == {code}
-        assert g._dag_cache[0][1][-1] == 2 ** count
+        rows = {}
+        graph.fill_dag_cache(g, range(g.n), rows)
+        assert {c.typecode for _, c in rows.values()} == {code}
+        assert rows[0][1][-1] == 2 ** count
         for s in (0, 1, g.n - 1):
-            dist, sigma = g._dag_cache[s]
+            dist, sigma = rows[s]
             assert (list(dist), list(sigma)) == eager_bfs_dag(g, s)[:2]
 
     @pytest.mark.parametrize("count, typed", [(62, True), (64, False)])
     def test_list_rows_past_int64_stay_python_ints(self, count, typed):
-        # bfs_dag's list BFS caches its row in the fill's form while the
-        # counts fit int64, and as lists of Python ints past it.
-        g = Graph(3 * count + 1, diamond_chain_edges(count))
-        dist, sigma = bfs_dag(g, 0)
-        assert bfs_dag(g, 0)[1] is sigma
+        # bfs_dag's list BFS stores its row in the fill's form while the
+        # counts fit int64, and as lists of Python ints past it.  Without
+        # a row store it gives a new row of the same form on every call.
+        g, rows = Graph(3 * count + 1, diamond_chain_edges(count)), {}
+        dist, sigma = bfs_dag(g, 0, rows=rows)
+        assert bfs_dag(g, 0, rows=rows)[1] is sigma
         assert type(sigma) is (array if typed else list)
         assert type(dist) is (array if typed else list)
         assert (list(dist), list(sigma)) == eager_bfs_dag(g, 0)[:2]
         assert sigma[-1] == 2 ** count
+        fresh = bfs_dag(g, 0)
+        assert fresh[1] is not sigma and fresh == (dist, sigma)
+        assert [type(a) for a in fresh] == [type(dist), type(sigma)]
 
 
 class TestBfsLevels:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centmax import exact, experiments, generators, maximize, samplers
+from centmax import exact, experiments, generators, graph, maximize, \
+    samplers
 from centmax.errors import SizeError
 from centmax.graph import Graph
 from centmax.maximize import (HyperEdgePool, build_pool, equal_budget,
@@ -167,6 +168,26 @@ class TestBuildPool:
         stored = pool.edge_nodes.size
         assert stored > 10 ** 5
         assert peak <= 36 * stored
+
+    def test_a_run_leaves_only_its_pool(self):
+        # The pair sampler's BFS rows live for one run: on ran:1000 they
+        # take about 6 MB while it runs, and none is left once the pool
+        # is built.
+        g = generators.gen_ran(1000, seeded(1))
+        assert g.n <= graph._CACHE_MAX_N
+        g.adj  # built on first read, and kept by the graph
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pool = build_pool(g, SamplerSpec("betweenness"), 6908,
+                              seeded(5))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (pool.edge_ptr, pool.edge_nodes,
+                                      pool.node_ptr, pool.node_edges,
+                                      pool.singles))
+        assert kept - held < 2 ** 20
 
     def test_incidence_inverse_of_membership(self):
         g = random_graph(15, 0.25, seeded(2))
@@ -472,6 +493,28 @@ class TestHedge:
         with pytest.raises(ValueError, match="k must be positive|exceeds"):
             hedge(path_graph(5), SamplerSpec("betweenness"), k, 0.3,
                   rng=seeded(0), budget=budget)
+
+    @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_a_second_run_equals_one_on_a_fresh_graph(self, directed, kind):
+        # A run keeps no BFS row on the graph, so the second run on one
+        # Graph sweeps its sources anew and picks as a first run would.
+        def ran1000():
+            g = generators.gen_ran(1000, seeded(1))
+            if not directed:
+                return g
+            return Graph(g.n, [(v, u) if i % 3 == 0 else (u, v)
+                               for i, (u, v) in enumerate(g.edges())],
+                         directed=True)
+
+        def run(g):
+            res = hedge(g, SamplerSpec(kind), 10, 0.1, rng=seeded(4),
+                        budget=3000)
+            return (res.selected, res.marginal_degrees,
+                    res.estimated_centrality, res.sample_count, res.alpha)
+        g = ran1000()
+        hedge(g, SamplerSpec(kind), 10, 0.1, rng=seeded(3), budget=3000)
+        assert run(g) == run(ran1000())
 
     def test_complete_graph_zero(self):
         g = complete_graph(5)

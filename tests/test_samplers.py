@@ -90,14 +90,18 @@ class TestBwcSampler:
     def test_never_contains_endpoints_and_valid_ids(self, drawn, isolated,
                                                     directed, seed):
         # Both pair samplers on both BFS back ends (the numpy one first,
-        # while the cache shows that bfs_dag cached nothing); each pair is
-        # replayed from a copy of the rng and checked against a queue BFS.
+        # while the runs' row stores show that bfs_dag kept nothing); each
+        # pair is replayed from a copy of the rng and checked against a
+        # queue BFS.
         n, edges = drawn
         g = Graph(n + isolated, edges, directed=directed)
         for limit in (0, graph._CACHE_MAX_N):
+            stores = []
             for sampler in (BWC, COV):
                 rng = seeded(seed)
-                with mock.patch.object(graph, "_CACHE_MAX_N", limit):
+                with mock.patch.object(graph, "_CACHE_MAX_N", limit), \
+                        mock.patch.object(samplers, "bfs_dag",
+                                          store_spy(stores)):
                     for _ in range(10):
                         s, t = samplers._random_ordered_pair(g.n, clone(rng))
                         h = sample(g, sampler, rng)
@@ -105,7 +109,7 @@ class TestBwcSampler:
                         assert s not in h and t not in h
                         if eager_bfs_dag(g, s)[0][t] <= 1:
                             assert h == frozenset()
-            assert limit or not g._dag_cache
+            assert limit or not any(stores)
 
     def test_deterministic_given_seed(self):
         g = random_graph(25, 0.15, seeded(4))
@@ -315,8 +319,10 @@ class TestPairCore:
         g = sparse_graph(rng.randrange(4, 40), rng.choice((1, 2, 3)), rng,
                          directed)
         spec = SamplerSpec(kind)
+        stores = []
+        monkeypatch.setattr(samplers, "bfs_dag", store_spy(stores))
         cached = sample_many(g, spec, 300, seeded(case))
-        assert g._dag_cache
+        assert any(stores)
         calls = []
 
         def counted(*args, real=graph.bfs_dist_sigma, **kwargs):
@@ -327,6 +333,15 @@ class TestPairCore:
         numpy = sample_many(g, spec, 300, seeded(case))
         assert calls
         assert [a.tobytes() for a in cached] == [a.tobytes() for a in numpy]
+
+
+def store_spy(stores):
+    """A stand-in for samplers.bfs_dag that appends the row store of each
+    call to `stores`: one store per sampling run, filled as it runs."""
+    def dag(g, s, *, rows, real=samplers.bfs_dag, **kwargs):
+        stores.append(rows)
+        return real(g, s, rows=rows, **kwargs)
+    return dag
 
 
 def graph_with_gaps(seed, directed):
@@ -351,8 +366,8 @@ def pair_kinds(g, q, rng):
 
 
 class TestPairChunks:
-    """A chunk of pair draws: all its pairs first, then the cache fill for
-    their sources, then the walks in draw order."""
+    """A chunk of pair draws: all its pairs first, then the run's row store
+    filled for their sources, then the walks in draw order."""
 
     @pytest.mark.parametrize("cached", [True, False])
     @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
@@ -365,10 +380,12 @@ class TestPairChunks:
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
         if not cached:
             monkeypatch.setattr(graph, "_CACHE_MAX_N", 0)
+        stores = []
+        monkeypatch.setattr(samplers, "bfs_dag", store_spy(stores))
         want = reference_pair_many(g, kind, q, seeded(q), chunk)
         got = sample_many(g, SamplerSpec(kind), q, seeded(q))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert bool(g._dag_cache) == cached
+        assert any(stores) == cached
         if kind == "coverage":
             assert set(pair_kinds(g, q, seeded(q))) == {
                 "unreachable", "adjacent", "linked"}
@@ -385,21 +402,23 @@ class TestPairChunks:
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_walks_read_only_filled_rows(self, directed, monkeypatch):
-        # Every source a walk BFSes is in the cache before the walk reads
-        # it, and the fill BFSes each linked drawn source once.
+        # Every source a walk BFSes is in the run's row store before the
+        # walk reads it, one store serves all four chunks, and the fill
+        # BFSes each linked drawn source once per run.
         g = graph_with_gaps(7 + directed, directed)
         chunk, q = 50, 170
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
-        filled, walked = [], []
+        filled, walked, stores = [], [], set()
 
         def cells(g, sources, *args, real=graph.bfs_dist_sigma, **kwargs):
             filled.extend(sources.tolist())
             return real(g, sources, *args, **kwargs)
 
-        def dag(g, s, stop_at=None, real=samplers.bfs_dag):
-            assert s in g._dag_cache, "a walk read an unfilled source"
+        def dag(g, s, *, stop_at, rows, real=samplers.bfs_dag):
+            assert s in rows, "a walk read an unfilled source"
             walked.append(s)
-            return real(g, s, stop_at=stop_at)
+            stores.add(id(rows))
+            return real(g, s, stop_at=stop_at, rows=rows)
         monkeypatch.setattr(graph, "bfs_dist_sigma", cells)
         monkeypatch.setattr(samplers, "bfs_dag", dag)
         rng = seeded(3)
@@ -408,6 +427,7 @@ class TestPairChunks:
         sample_many(g, SamplerSpec("betweenness"), q, seeded(3))
         assert sorted(filled) == sorted(linked)
         assert set(walked) == linked
+        assert len(stores) == 1
 
     @pytest.mark.parametrize("cells", [1, 100, graph._BLOCK_CELLS])
     @pytest.mark.parametrize("directed", [False, True])
@@ -419,10 +439,11 @@ class TestPairChunks:
         for _ in range(6):
             n = rng.randrange(2, 45)
             g = random_graph(n, rng.choice((0.03, 0.1, 0.3)), rng, directed)
-            fill_dag_cache(g, range(n))
-            assert sorted(g._dag_cache) == list(range(n))
+            rows = {}
+            fill_dag_cache(g, range(n), rows)
+            assert sorted(rows) == list(range(n))
             for s in range(n):
-                dist, sigma = g._dag_cache[s]
+                dist, sigma = rows[s]
                 assert (list(dist), list(sigma)) == eager_bfs_dag(g, s)[:2]
                 assert all(type(x) is int for x in chain(dist, sigma))
 
@@ -436,13 +457,14 @@ class TestPairChunks:
         count = 34
         g = Graph(4 * count + 1, diamond_chain_edges(count, sides=3))
         assert 2 ** 53 < 3 ** count <= 2 ** 62 // g.n
-        fill_dag_cache(g, [0, 4, 5, g.n - 1])
+        rows = {}
+        fill_dag_cache(g, [0, 4, 5, g.n - 1], rows)
         assert swept == [[0, 4, 5, g.n - 1]] and not (gave_up or listed)
         for s in (0, 4, 5, g.n - 1):
-            dist, sigma = g._dag_cache[s]
+            dist, sigma = rows[s]
             assert (list(dist), list(sigma)) == eager_bfs_dag(g, s)[:2]
             assert all(type(x) is int for x in sigma)
-        assert g._dag_cache[0][1][-1] == 3 ** count
+        assert rows[0][1][-1] == 3 ** count
 
     def test_overflowing_block_is_swept_once(self, monkeypatch):
         # 62 diamonds chained downward give 2^62 paths from node 0, past
@@ -459,21 +481,22 @@ class TestPairChunks:
             blocks.append(sources.tolist())
             return real(g, sources, *args, **kwargs)
 
-        def dag(g, s, real=graph.bfs_dag):
+        def dag(g, s, *, rows, real=graph.bfs_dag):
             listed.append(s)
-            return real(g, s)
+            return real(g, s, rows=rows)
         monkeypatch.setattr(graph, "bfs_dist_sigma", cells)
         monkeypatch.setattr(graph, "bfs_dag", dag)
-        fill_dag_cache(g, reversed(range(g.n)))
+        rows = {}
+        fill_dag_cache(g, reversed(range(g.n)), rows)
         assert blocks == [list(range(graph._BLOCK_CELLS // g.n))]
         assert listed == list(range(g.n))
-        fill_dag_cache(g, range(g.n))
+        fill_dag_cache(g, range(g.n), rows)
         assert len(blocks) == 1 and len(listed) == g.n
         for s in range(g.n):
-            dist, sigma = g._dag_cache[s]
+            dist, sigma = rows[s]
             assert (list(dist), list(sigma)) == eager_bfs_dag(g, s)[:2]
             assert all(type(x) is int for x in sigma)
-        assert g._dag_cache[0][1][-2] == 2 ** 62
+        assert rows[0][1][-2] == 2 ** 62
 
     @staticmethod
     def watch_fill(monkeypatch):
@@ -486,9 +509,9 @@ class TestPairChunks:
             (swept if rows else gave_up).append(sources.tolist())
             return rows
 
-        def dag(g, s, real=graph.bfs_dag):
+        def dag(g, s, *, rows, real=graph.bfs_dag):
             listed.append(s)
-            return real(g, s)
+            return real(g, s, rows=rows)
         monkeypatch.setattr(graph, "bfs_dist_sigma", cells)
         monkeypatch.setattr(graph, "bfs_dag", dag)
         return gave_up, swept, listed
@@ -501,11 +524,12 @@ class TestPairChunks:
         n = 300
         g = Graph(n, [(v, v + 1) for v in range(n - 1)], directed=directed)
         gave_up, swept, listed = self.watch_fill(monkeypatch)
-        fill_dag_cache(g, reversed(range(n)))
+        rows = {}
+        fill_dag_cache(g, reversed(range(n)), rows)
         assert gave_up == [list(range(graph._BLOCK_CELLS // n))]
         assert not swept and listed == list(range(n))
         for s in range(n):
-            dist, sigma = g._dag_cache[s]
+            dist, sigma = rows[s]
             assert (list(dist), list(sigma)) == eager_bfs_dag(g, s)[:2]
 
     def test_wide_blocks_are_swept(self, monkeypatch):
@@ -518,19 +542,21 @@ class TestPairChunks:
                   + [(v, v + side) for v in range(side * (side - 1))])
         middle = list(range(side * side // 2, side * (side + 2) // 2, 2))
         gave_up, swept, listed = self.watch_fill(monkeypatch)
-        fill_dag_cache(g, middle)
+        rows = {}
+        fill_dag_cache(g, middle, rows)
         assert swept == [middle] and not (gave_up or listed)
         for s in middle:
-            dist, sigma = g._dag_cache[s]
+            dist, sigma = rows[s]
             assert (list(dist), list(sigma)) == eager_bfs_dag(g, s)[:2]
-        assert max(g._dag_cache[middle[0]][0]) > 40
+        assert max(rows[middle[0]][0]) > 40
 
     def test_no_fill_past_the_cache_size(self, monkeypatch):
         monkeypatch.setattr(graph, "_CACHE_MAX_N", 9)
         gave_up, swept, listed = self.watch_fill(monkeypatch)
         g = Graph(10, [(v, v + 1) for v in range(9)])
-        fill_dag_cache(g, range(10))
-        assert not (g._dag_cache or gave_up or swept or listed)
+        rows = {}
+        fill_dag_cache(g, range(10), rows)
+        assert not (rows or gave_up or swept or listed)
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_one_node_refused_before_any_draw(self, cached, monkeypatch):
@@ -558,15 +584,18 @@ class TestDeepPairs:
 
     @pytest.mark.parametrize("kind", ["betweenness", "coverage"])
     @pytest.mark.parametrize("directed", [False, True])
-    def test_same_arrays_as_the_reference(self, directed, kind, bfs_calls):
+    def test_same_arrays_as_the_reference(self, directed, kind, bfs_calls,
+                                          monkeypatch):
         g = path_graph(self.n, directed)
         assert g.n > graph._CACHE_MAX_N
         q = 80
+        stores = []
+        monkeypatch.setattr(samplers, "bfs_dag", store_spy(stores))
         want = reference_pair_many(g, kind, q, seeded(q), samplers._CHUNK)
         got = sample_many(g, SamplerSpec(kind), q, seeded(q))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert "listed" in {call for call, _ in bfs_calls}
-        assert not g._dag_cache
+        assert stores and not any(stores)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_rows_are_cut_at_t_swept_or_listed(self, directed, bfs_calls):
@@ -577,10 +606,11 @@ class TestDeepPairs:
         s = self.n // 2
         full_dist, full_sigma = eager_bfs_dag(g, s)[:2]
         thin = graph._THIN_LEVELS
+        rows = {}
         for t in (s, s + 1, s + thin - 1, s + thin, s + thin + 1, s + 500,
                   self.n - 1, s - thin, 0):
             del bfs_calls[:]
-            dist, sigma = bfs_dag(g, s, stop_at=t)
+            dist, sigma = bfs_dag(g, s, stop_at=t, rows=rows)
             if 0 <= full_dist[t] < thin:
                 assert bfs_calls == [("swept", [s])]
             else:
@@ -592,7 +622,7 @@ class TestDeepPairs:
                     assert sigma[v] == full_sigma[v]
                 else:
                     assert dist[v] == -1
-        assert not g._dag_cache
+        assert not rows
 
 
 class TestKPathSampler:
